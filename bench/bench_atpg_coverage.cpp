@@ -13,7 +13,7 @@
 // paths are timed against scalar baselines (one pattern per pass / one
 // pattern per scan load) and both throughputs land in BENCH_atpg.json,
 // plus the multi-threaded variants (fault list / pattern batches sharded
-// over the work-stealing pool) which must reproduce the serial results
+// over the work-stealing pool) which must reproduce the 1-thread results
 // bit-for-bit.
 
 #include <algorithm>
@@ -134,9 +134,12 @@ int main() {
 
   // --- multi-threaded fault simulation (with fault dropping) --------------
   bench::header("Multi-threaded fault simulation (N cores x 64 lanes)");
+  // The "serial" reference is the same grader on a 1-thread pool, which
+  // runs its shards inline.
   ThreadPool pool;  // RETSCAN_THREADS / hardware_concurrency
+  ThreadPool serial_pool(1);
   timer.restart();
-  const FaultSimResult serial_sim = fault_simulate(frame, faults, atpg.patterns);
+  const FaultSimResult serial_sim = fault_simulate(frame, faults, atpg.patterns, serial_pool);
   const double serial_sim_time = timer.seconds();
   timer.restart();
   const FaultSimResult pooled_sim = fault_simulate(frame, faults, atpg.patterns, pool);
@@ -154,7 +157,7 @@ int main() {
   json.set("faultsim_threaded_speedup", threaded_speedup);
 
   // --- thread scaling curve (1/2/4/8) -------------------------------------
-  // Same workload per point; speedup is against the serial run above, and
+  // Same workload per point; speedup is against the 1-thread run above, and
   // efficiency = speedup / threads. Results must stay identical per point.
   bench::header("Fault-simulation thread scaling curve");
   bool scaling_matches = true;

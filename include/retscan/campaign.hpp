@@ -46,8 +46,11 @@ enum class CampaignKind {
 /// same seed wherever an equivalence is defined (see tests/test_api.cpp).
 enum class Backend {
   Auto,           ///< fastest available (usually PackedParallel)
-  Reference,      ///< scalar oracle: one trial/pattern at a time
-  Packed,         ///< 64-way bit-parallel lanes, one thread
+  Reference,      ///< validation/scan-test: scalar oracle, one trial/pattern
+                  ///< at a time; coverage kinds: the sharded simulator on
+                  ///< one thread
+  Packed,         ///< 64-way bit-parallel lanes, one thread (coverage kinds:
+                  ///< the same simulator on one thread, as Reference)
   PackedParallel, ///< 64-way lanes × work-stealing thread pool
 };
 
@@ -109,7 +112,10 @@ struct CampaignSpec {
   /// Worker threads for PackedParallel backends; 0 → the session's pool
   /// (RETSCAN_THREADS / hardware_concurrency).
   unsigned threads = 0;
-  /// Trials (or fault-list entries) per pool shard; 0 → backend default.
+  /// Trials (or fault-list entries) per pool shard; 0 → backend default
+  /// (coverage kinds: 128 faults, 64 for sequential coverage). Coverage
+  /// kinds on Reference/Packed run the same simulator on one thread at the
+  /// default shard, so shard_size is PackedParallel-only there.
   std::size_t shard_size = 0;
 
   // --- Validation / Injection ------------------------------------------

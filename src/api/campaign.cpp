@@ -469,8 +469,9 @@ void validate(const CampaignSpec& spec, const Session& session) {
                (spec.backend == Backend::Reference || spec.backend == Backend::Packed)) {
       reject(spec,
              "shard_size only applies to the pooled fault simulator; "
-             "Backend::Reference and Backend::Packed run the serial path — "
-             "drop shard_size or pick Backend::PackedParallel");
+             "Backend::Reference and Backend::Packed run it on one thread at "
+             "its default shard — drop shard_size or pick "
+             "Backend::PackedParallel");
     }
   }
   if (spec.cycles != 0 && spec.kind != CampaignKind::SequentialCoverage) {
@@ -493,18 +494,22 @@ namespace {
 /// Campaign runner honouring the service/thread overrides, strongest
 /// first: an embedding service's shared runner (RunHooks), else the
 /// session's pool when the spec doesn't insist, else a private pool.
-/// (Results are thread-count invariant either way; this is throughput only.)
+/// Reference and Packed ask for one thread: on the sharded simulators that
+/// is the same code run inline. (Results are thread-count invariant either
+/// way; this is throughput only.)
 parallel::CampaignRunner& select_runner(
-    Session& session, const CampaignSpec& spec, const RunHooks& hooks,
+    Session& session, const CampaignSpec& spec, Backend backend, const RunHooks& hooks,
     std::unique_ptr<parallel::CampaignRunner>& local) {
-  if (hooks.runner != nullptr) {
+  const bool pooled = backend == Backend::PackedParallel;
+  if (pooled && hooks.runner != nullptr) {
     return *hooks.runner;
   }
-  if (spec.threads == 0 || spec.threads == session.threads()) {
+  const unsigned threads = pooled ? spec.threads : 1;
+  if (threads == 0 || threads == session.threads()) {
     return session.runner();
   }
   parallel::CampaignOptions options;
-  options.threads = spec.threads;
+  options.threads = threads;
   local = std::make_unique<parallel::CampaignRunner>(options);
   return *local;
 }
@@ -546,7 +551,8 @@ void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
     case Backend::PackedParallel:
     default: {
       std::unique_ptr<parallel::CampaignRunner> local;
-      parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
+      parallel::CampaignRunner& runner =
+          select_runner(session, spec, backend, hooks, local);
       // Durability hooks: a cancel token (SIGINT via the global flag plus
       // the spec's deadline budget) and, when armed, the checkpoint
       // journal. A service passes its own per-job token via RunHooks so it
@@ -588,114 +594,52 @@ void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
   }
 }
 
-void run_fault_coverage(Session& session, const CampaignSpec& spec, Backend backend,
-                        const RunHooks& hooks, CampaignResult& result) {
-  AtpgOptions options = spec.atpg;
-  options.seed = spec.seed;
-  result.atpg = run_atpg(session.frame(), session.faults(), options);
-  if (backend == Backend::PackedParallel) {
-    std::unique_ptr<parallel::CampaignRunner> local;
-    parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
-    const std::size_t fault_shard = spec.shard_size != 0 ? spec.shard_size : 128;
-    result.faults = fault_simulate(session.frame(), session.faults(),
-                                   result.atpg.patterns, runner.pool(), fault_shard);
-    result.threads = runner.threads();
-    result.shard_count =
-        (session.faults().size() + fault_shard - 1) / fault_shard;
-  } else {
-    // Reference and Packed coincide here: the serial fault simulator IS the
-    // 64-lane cone path (the oracle detect_mask_full stays a frame method).
-    result.faults =
-        fault_simulate(session.frame(), session.faults(), result.atpg.patterns);
-    result.threads = 1;
-    result.shard_count = 1;
-  }
-}
-
-void run_transition_delay(Session& session, const CampaignSpec& spec, Backend backend,
-                          const RunHooks& hooks, CampaignResult& result) {
-  AtpgOptions options = spec.atpg;
-  options.seed = spec.seed;
-  result.atpg = run_atpg(session.frame(), session.faults(), options);
-  const std::vector<TransitionFault> faults =
-      enumerate_transition_faults(session.netlist());
-  if (backend == Backend::PackedParallel) {
-    std::unique_ptr<parallel::CampaignRunner> local;
-    parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
-    const std::size_t fault_shard = spec.shard_size != 0 ? spec.shard_size : 128;
-    result.faults = transition_fault_simulate(session.frame(), faults,
-                                              result.atpg.patterns, runner.pool(),
-                                              fault_shard);
-    result.threads = runner.threads();
-    result.shard_count = (faults.size() + fault_shard - 1) / fault_shard;
-  } else {
-    result.faults =
-        transition_fault_simulate(session.frame(), faults, result.atpg.patterns);
-    result.threads = 1;
-    result.shard_count = 1;
-  }
-}
-
-void run_bridging(Session& session, const CampaignSpec& spec, Backend backend,
+/// The coverage kinds: one fault universe and one simulator per kind, all
+/// graded on the same sharded driver.
+void run_coverage(Session& session, const CampaignSpec& spec, Backend backend,
                   const RunHooks& hooks, CampaignResult& result) {
-  AtpgOptions options = spec.atpg;
-  options.seed = spec.seed;
-  result.atpg = run_atpg(session.frame(), session.faults(), options);
-  const std::vector<BridgingFault> faults =
-      enumerate_bridging_faults(session.netlist());
-  if (backend == Backend::PackedParallel) {
-    std::unique_ptr<parallel::CampaignRunner> local;
-    parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
-    const std::size_t fault_shard = spec.shard_size != 0 ? spec.shard_size : 128;
-    result.faults = bridging_fault_simulate(session.frame(), faults,
-                                            result.atpg.patterns, runner.pool(),
-                                            fault_shard);
-    result.threads = runner.threads();
-    result.shard_count = (faults.size() + fault_shard - 1) / fault_shard;
-  } else {
-    result.faults =
-        bridging_fault_simulate(session.frame(), faults, result.atpg.patterns);
-    result.threads = 1;
-    result.shard_count = 1;
+  std::unique_ptr<parallel::CampaignRunner> local;
+  parallel::CampaignRunner& runner = select_runner(session, spec, backend, hooks, local);
+  const bool sequential = spec.kind == CampaignKind::SequentialCoverage;
+  const std::size_t shard = spec.shard_size != 0 ? spec.shard_size
+                            : sequential         ? grading::kSequentialShard
+                                                 : grading::kShard;
+  const CombinationalFrame& frame = session.frame();
+  const std::vector<BitVec>& patterns = result.atpg.patterns;
+  switch (spec.kind) {
+    case CampaignKind::TransitionDelay:
+      result.faults = transition_fault_simulate(
+          frame, enumerate_transition_faults(session.netlist()), patterns, runner.pool(), shard);
+      break;
+    case CampaignKind::Bridging:
+      result.faults = bridging_fault_simulate(
+          frame, enumerate_bridging_faults(session.netlist()), patterns, runner.pool(), shard);
+      break;
+    case CampaignKind::SequentialCoverage:
+      // The session's gate-level netlist, no scan frame: the same collapsed
+      // stuck-at universe, detected through free-running multi-cycle
+      // simulation instead of scan capture.
+      result.faults = sequential_fault_simulate(session.netlist(), session.faults(),
+                                                spec.sequences, spec.cycles, spec.seed,
+                                                runner.pool(), shard);
+      break;
+    default:
+      result.faults = fault_simulate(frame, session.faults(), patterns, runner.pool(), shard);
+      break;
   }
-}
-
-void run_sequential_coverage(Session& session, const CampaignSpec& spec,
-                             Backend backend, const RunHooks& hooks,
-                             CampaignResult& result) {
-  // Runs on the session's gate-level netlist directly (no scan frame): the
-  // same collapsed stuck-at universe as fault-coverage, detected through
-  // free-running multi-cycle simulation instead of scan capture.
-  const Netlist& netlist = session.netlist();
-  const std::vector<Fault>& faults = session.faults();
-  if (backend == Backend::PackedParallel) {
-    std::unique_ptr<parallel::CampaignRunner> local;
-    parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
-    const std::size_t fault_shard = spec.shard_size != 0 ? spec.shard_size : 64;
-    result.faults = sequential_fault_simulate(netlist, faults, spec.sequences,
-                                              spec.cycles, spec.seed, runner.pool(),
-                                              fault_shard);
-    result.threads = runner.threads();
-    result.shard_count = (faults.size() + fault_shard - 1) / fault_shard;
-  } else {
-    result.faults = sequential_fault_simulate(netlist, faults, spec.sequences,
-                                              spec.cycles, spec.seed);
-    result.threads = 1;
-    result.shard_count = 1;
-  }
+  result.threads = runner.threads();
+  result.shard_count = grading::shard_count(result.faults.total_faults, shard);
+  result.shards_completed = result.shard_count;
 }
 
 void run_scan_test_campaign(Session& session, const CampaignSpec& spec,
                             Backend backend, const RunHooks& hooks,
                             CampaignResult& result) {
-  AtpgOptions options = spec.atpg;
-  options.seed = spec.seed;
-  result.atpg = run_atpg(session.frame(), session.faults(), options);
   if (backend == Backend::PackedParallel) {
     // Routed directly (not via Session::run_scan_test, which always uses the
     // session's shared pool) so the spec's threads knob is honored here too.
     std::unique_ptr<parallel::CampaignRunner> local;
-    parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
+    parallel::CampaignRunner& runner = select_runner(session, spec, backend, hooks, local);
     result.scan_test =
         apply_test_mode_scan_test_packed(session.design(), session.frame(),
                                          result.atpg.patterns, runner.pool(),
@@ -714,6 +658,7 @@ void run_scan_test_campaign(Session& session, const CampaignSpec& spec,
     result.threads = 1;
     result.shard_count = 1;
   }
+  result.shards_completed = result.shard_count;
 }
 
 }  // namespace
@@ -729,25 +674,21 @@ CampaignResult run(Session& session, const CampaignSpec& spec,
   result.kind = spec.kind;
   result.backend = backend;
   const auto start = std::chrono::steady_clock::now();
+  if (is_pattern_kind(spec.kind)) {
+    AtpgOptions options = spec.atpg;
+    options.seed = spec.seed;
+    result.atpg = run_atpg(session.frame(), session.faults(), options);
+  }
   switch (spec.kind) {
     case CampaignKind::Validation:
     case CampaignKind::Injection:
       run_validation(session, spec, backend, hooks, result);
       break;
-    case CampaignKind::FaultCoverage:
-      run_fault_coverage(session, spec, backend, hooks, result);
-      break;
     case CampaignKind::ScanTest:
       run_scan_test_campaign(session, spec, backend, hooks, result);
       break;
-    case CampaignKind::TransitionDelay:
-      run_transition_delay(session, spec, backend, hooks, result);
-      break;
-    case CampaignKind::Bridging:
-      run_bridging(session, spec, backend, hooks, result);
-      break;
-    case CampaignKind::SequentialCoverage:
-      run_sequential_coverage(session, spec, backend, hooks, result);
+    default:
+      run_coverage(session, spec, backend, hooks, result);
       break;
   }
   result.seconds =

@@ -4,14 +4,11 @@
 #include <limits>
 #include <unordered_set>
 
+#include "atpg/grading.hpp"
 #include "sim/compiled_netlist.hpp"
 #include "util/rng.hpp"
 
 namespace retscan {
-
-namespace {
-constexpr std::size_t npos = FaultSimResult::npos;
-}
 
 // --- transition-delay faults ------------------------------------------------
 
@@ -33,150 +30,47 @@ std::string transition_fault_name(const Netlist& netlist, const TransitionFault&
 
 namespace {
 
-/// The capture-cycle alias of a transition fault: the net frozen at the
-/// transition's initial value.
-Fault capture_alias(const TransitionFault& fault) {
-  return {fault.net, !fault.slow_to_rise};
-}
+/// Transition-delay grading over launch/capture block pairs (lane k = pattern
+/// pair k): capture must detect the stuck-at alias — the net frozen at the
+/// transition's initial value — AND the launch pattern must set the net to
+/// that initial value.
+struct TransitionModel {
+  const CombinationalFrame& frame;
+  const std::vector<TransitionFault>& faults;
+  const std::vector<BitVec>& patterns;
+  std::shared_ptr<const CompiledNetlist> compiled;
+  std::vector<CombinationalFrame::LoadedPatternBatch> launch;
+  std::vector<CombinationalFrame::LoadedPatternBatch> capture;
 
-/// Detection mask of one transition fault over a loaded launch/capture
-/// batch pair (lane k = pattern pair k): capture must detect the stuck-at
-/// alias AND the launch pattern must set the net to the initial value.
-LaneBlock transition_detect(const CombinationalFrame& frame, const TransitionFault& fault,
-                            const CombinationalFrame::FaultCone& cone,
-                            std::uint32_t slot,
-                            const CombinationalFrame::LoadedPatternBatch& launch,
-                            const CombinationalFrame::LoadedPatternBatch& capture,
-                            CombinationalFrame::Workspace& workspace) {
-  const LaneBlock detect =
-      frame.detect_block(capture_alias(fault), cone, capture, capture.good, workspace);
-  const LaneBlock& launch_vals = launch.settled[slot];
-  return fault.slow_to_rise ? detect & ~launch_vals : detect & launch_vals;
-}
+  void prepare(ThreadPool& pool) {
+    (void)grading::site_cones(frame, faults, 0, faults.size());
+    const std::size_t pairs = patterns.size() - 1;
+    launch = grading::load_blocks(frame, patterns, 0, pairs, pool);
+    capture = grading::load_blocks(frame, patterns, 1, pairs, pool);
+  }
+  grading::SiteConeShard shard(std::size_t first, std::size_t last) const {
+    return grading::site_cones(frame, faults, first, last);
+  }
+  LaneBlock detect(std::size_t fi, std::size_t b, grading::SiteConeShard& shard) const {
+    const TransitionFault& fault = faults[fi];
+    const LaneBlock detect =
+        frame.detect_block({fault.net, !fault.slow_to_rise}, *shard.cones[fi - shard.first],
+                           capture[b], capture[b].good, shard.workspace);
+    const LaneBlock& launch_vals = launch[b].settled[compiled->slot(fault.net)];
+    return fault.slow_to_rise ? detect & ~launch_vals : detect & launch_vals;
+  }
+};
 
 }  // namespace
 
 FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
                                          const std::vector<TransitionFault>& faults,
-                                         const std::vector<BitVec>& patterns) {
-  FaultSimResult result;
-  result.total_faults = faults.size();
-  result.detected_by.assign(faults.size(), npos);
-  if (faults.empty() || patterns.size() < 2) {
-    return result;
-  }
-  const auto compiled = frame.netlist().compiled();
-  std::vector<const CombinationalFrame::FaultCone*> cones;
-  std::vector<std::uint32_t> slots;
-  cones.reserve(faults.size());
-  slots.reserve(faults.size());
-  for (const TransitionFault& fault : faults) {
-    cones.push_back(&frame.fault_cone(fault.net));
-    slots.push_back(compiled->slot(fault.net));
-  }
-  CombinationalFrame::Workspace workspace;
-  const std::size_t pairs = patterns.size() - 1;
-  for (std::size_t base = 0; base < pairs; base += kLaneBlockBits) {
-    const std::size_t count = std::min<std::size_t>(kLaneBlockBits, pairs - base);
-    const std::vector<BitVec> launch_slice(patterns.begin() + base,
-                                           patterns.begin() + base + count);
-    const std::vector<BitVec> capture_slice(patterns.begin() + base + 1,
-                                            patterns.begin() + base + 1 + count);
-    const auto launch = frame.load_batch(launch_slice);
-    const auto capture = frame.load_batch(capture_slice);
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (result.detected_by[fi] != npos) {
-        continue;  // fault dropping
-      }
-      const LaneBlock mask = transition_detect(frame, faults[fi], *cones[fi], slots[fi],
-                                               launch, capture, workspace);
-      if (block_any(mask)) {
-        result.detected_by[fi] = base + block_first_lane(mask);
-        ++result.detected;
-      }
-    }
-  }
-  return result;
-}
-
-FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
-                                         const std::vector<TransitionFault>& faults,
                                          const std::vector<BitVec>& patterns,
                                          ThreadPool& pool, std::size_t fault_shard) {
-  FaultSimResult result;
-  result.total_faults = faults.size();
-  result.detected_by.assign(faults.size(), npos);
-  if (faults.empty() || patterns.size() < 2) {
-    return result;
-  }
-  if (fault_shard == 0) {
-    fault_shard = 1;
-  }
-  const auto compiled = frame.netlist().compiled();
-  {
-    std::vector<Fault> aliases;
-    aliases.reserve(faults.size());
-    for (const TransitionFault& fault : faults) {
-      aliases.push_back(capture_alias(fault));
-    }
-    frame.warm_cones(aliases);
-  }
-
-  struct BatchPair {
-    std::size_t base = 0;
-    CombinationalFrame::LoadedPatternBatch launch;
-    CombinationalFrame::LoadedPatternBatch capture;
-  };
-  const std::size_t pairs = patterns.size() - 1;
-  std::vector<BatchPair> batches((pairs + kLaneBlockBits - 1) / kLaneBlockBits);
-  pool.parallel_for(batches.size(), [&](std::size_t b) {
-    const std::size_t base = b * kLaneBlockBits;
-    const std::size_t count = std::min<std::size_t>(kLaneBlockBits, pairs - base);
-    batches[b].base = base;
-    batches[b].launch = frame.load_batch(
-        {patterns.begin() + base, patterns.begin() + base + count});
-    batches[b].capture = frame.load_batch(
-        {patterns.begin() + base + 1, patterns.begin() + base + 1 + count});
-  });
-
-  const std::size_t shard_count = (faults.size() + fault_shard - 1) / fault_shard;
-  std::vector<std::size_t> shard_detected(shard_count, 0);
-  pool.parallel_for(shard_count, [&](std::size_t s) {
-    const std::size_t first = s * fault_shard;
-    const std::size_t last = std::min(faults.size(), first + fault_shard);
-    CombinationalFrame::Workspace workspace;
-    std::vector<std::size_t> live;
-    std::vector<const CombinationalFrame::FaultCone*> cones(last - first, nullptr);
-    std::vector<std::uint32_t> slots(last - first, 0);
-    live.reserve(last - first);
-    for (std::size_t fi = first; fi < last; ++fi) {
-      live.push_back(fi);
-      cones[fi - first] = &frame.fault_cone(faults[fi].net);
-      slots[fi - first] = compiled->slot(faults[fi].net);
-    }
-    for (const BatchPair& batch : batches) {
-      if (live.empty()) {
-        break;
-      }
-      std::size_t kept = 0;
-      for (const std::size_t fi : live) {
-        const LaneBlock mask =
-            transition_detect(frame, faults[fi], *cones[fi - first], slots[fi - first],
-                              batch.launch, batch.capture, workspace);
-        if (block_any(mask)) {
-          result.detected_by[fi] = batch.base + block_first_lane(mask);
-          ++shard_detected[s];
-        } else {
-          live[kept++] = fi;
-        }
-      }
-      live.resize(kept);
-    }
-  });
-  for (const std::size_t count : shard_detected) {
-    result.detected += count;
-  }
-  return result;
+  TransitionModel model{frame, faults, patterns, frame.netlist().compiled(), {}, {}};
+  const std::size_t pairs = patterns.size() < 2 ? 0 : patterns.size() - 1;
+  return grading::grade(model, faults.size(), grading::block_count(pairs), pool,
+                        fault_shard);
 }
 
 // --- bridging faults --------------------------------------------------------
@@ -219,136 +113,54 @@ std::string bridging_fault_name(const Netlist& netlist, const BridgingFault& fau
 
 namespace {
 
-LaneBlock bridging_detect(const CombinationalFrame& frame, const BridgingFault& fault,
-                          const CombinationalFrame::FaultCone& cone, std::uint32_t slot_a,
-                          std::uint32_t slot_b,
-                          const CombinationalFrame::LoadedPatternBatch& batch,
-                          std::vector<LaneBlock>& forced,
-                          CombinationalFrame::Workspace& workspace) {
-  const LaneBlock& va = batch.settled[slot_a];
-  const LaneBlock& vb = batch.settled[slot_b];
-  const LaneBlock wired = fault.wired_and ? va & vb : va | vb;
-  // Both nets take the wired value, so the forced vector is order-agnostic
-  // with respect to cone.source_slots.
-  forced[0] = wired;
-  forced[1] = wired;
-  return frame.replay_dirty(cone, forced, batch, batch.good, workspace);
-}
+/// Bridging grading: both nets forced to the wired value and their joint
+/// fanout cone replayed. Joint cones are ad hoc (pair sites), so each shard
+/// builds its own at shard start rather than going through the single-net
+/// cone cache.
+struct BridgingModel {
+  const CombinationalFrame& frame;
+  const std::vector<BridgingFault>& faults;
+  const std::vector<BitVec>& patterns;
+  std::shared_ptr<const CompiledNetlist> compiled;
+  std::vector<CombinationalFrame::LoadedPatternBatch> blocks;
+
+  struct Shard : grading::ConeShard<CombinationalFrame::FaultCone> {
+    std::vector<LaneBlock> forced = std::vector<LaneBlock>(2);
+  };
+
+  void prepare(ThreadPool& pool) {
+    blocks = grading::load_blocks(frame, patterns, 0, patterns.size(), pool);
+  }
+  Shard shard(std::size_t first, std::size_t last) const {
+    Shard shard;
+    shard.first = first;
+    shard.cones.reserve(last - first);
+    for (std::size_t fi = first; fi < last; ++fi) {
+      shard.cones.push_back(frame.dirty_cone({faults[fi].a, faults[fi].b}));
+    }
+    return shard;
+  }
+  LaneBlock detect(std::size_t fi, std::size_t b, Shard& shard) const {
+    const BridgingFault& fault = faults[fi];
+    const LaneBlock& va = blocks[b].settled[compiled->slot(fault.a)];
+    const LaneBlock& vb = blocks[b].settled[compiled->slot(fault.b)];
+    // Both nets take the wired value, so the forced vector is order-agnostic
+    // with respect to the cone's source slots.
+    shard.forced[0] = shard.forced[1] = fault.wired_and ? va & vb : va | vb;
+    return frame.replay_dirty(shard.cones[fi - shard.first], shard.forced, blocks[b],
+                              blocks[b].good, shard.workspace);
+  }
+};
 
 }  // namespace
 
 FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
                                        const std::vector<BridgingFault>& faults,
-                                       const std::vector<BitVec>& patterns) {
-  FaultSimResult result;
-  result.total_faults = faults.size();
-  result.detected_by.assign(faults.size(), npos);
-  if (faults.empty() || patterns.empty()) {
-    return result;
-  }
-  const auto compiled = frame.netlist().compiled();
-  // Dirty cones are ad hoc (pair sites), so they are built once per fault
-  // here rather than going through the single-net cone cache.
-  std::vector<CombinationalFrame::FaultCone> cones;
-  cones.reserve(faults.size());
-  std::vector<std::pair<std::uint32_t, std::uint32_t>> slots;
-  slots.reserve(faults.size());
-  for (const BridgingFault& fault : faults) {
-    cones.push_back(frame.dirty_cone({fault.a, fault.b}));
-    slots.emplace_back(compiled->slot(fault.a), compiled->slot(fault.b));
-  }
-  CombinationalFrame::Workspace workspace;
-  std::vector<LaneBlock> forced(2);
-  for (std::size_t base = 0; base < patterns.size(); base += kLaneBlockBits) {
-    const std::size_t count =
-        std::min<std::size_t>(kLaneBlockBits, patterns.size() - base);
-    const auto loaded =
-        frame.load_batch({patterns.begin() + base, patterns.begin() + base + count});
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (result.detected_by[fi] != npos) {
-        continue;
-      }
-      const LaneBlock mask = bridging_detect(frame, faults[fi], cones[fi],
-                                             slots[fi].first, slots[fi].second, loaded,
-                                             forced, workspace);
-      if (block_any(mask)) {
-        result.detected_by[fi] = base + block_first_lane(mask);
-        ++result.detected;
-      }
-    }
-  }
-  return result;
-}
-
-FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
-                                       const std::vector<BridgingFault>& faults,
                                        const std::vector<BitVec>& patterns,
                                        ThreadPool& pool, std::size_t fault_shard) {
-  FaultSimResult result;
-  result.total_faults = faults.size();
-  result.detected_by.assign(faults.size(), npos);
-  if (faults.empty() || patterns.empty()) {
-    return result;
-  }
-  if (fault_shard == 0) {
-    fault_shard = 1;
-  }
-  const auto compiled = frame.netlist().compiled();
-  // Joint cones are independent per fault: build them across the pool.
-  std::vector<CombinationalFrame::FaultCone> cones(faults.size());
-  pool.parallel_for(faults.size(), [&](std::size_t fi) {
-    cones[fi] = frame.dirty_cone({faults[fi].a, faults[fi].b});
-  });
-
-  struct Batch {
-    std::size_t base = 0;
-    CombinationalFrame::LoadedPatternBatch loaded;
-  };
-  std::vector<Batch> batches((patterns.size() + kLaneBlockBits - 1) / kLaneBlockBits);
-  pool.parallel_for(batches.size(), [&](std::size_t b) {
-    const std::size_t base = b * kLaneBlockBits;
-    const std::size_t count =
-        std::min<std::size_t>(kLaneBlockBits, patterns.size() - base);
-    batches[b].base = base;
-    batches[b].loaded =
-        frame.load_batch({patterns.begin() + base, patterns.begin() + base + count});
-  });
-
-  const std::size_t shard_count = (faults.size() + fault_shard - 1) / fault_shard;
-  std::vector<std::size_t> shard_detected(shard_count, 0);
-  pool.parallel_for(shard_count, [&](std::size_t s) {
-    const std::size_t first = s * fault_shard;
-    const std::size_t last = std::min(faults.size(), first + fault_shard);
-    CombinationalFrame::Workspace workspace;
-    std::vector<LaneBlock> forced(2);
-    std::vector<std::size_t> live;
-    live.reserve(last - first);
-    for (std::size_t fi = first; fi < last; ++fi) {
-      live.push_back(fi);
-    }
-    for (const Batch& batch : batches) {
-      if (live.empty()) {
-        break;
-      }
-      std::size_t kept = 0;
-      for (const std::size_t fi : live) {
-        const LaneBlock mask = bridging_detect(
-            frame, faults[fi], cones[fi], compiled->slot(faults[fi].a),
-            compiled->slot(faults[fi].b), batch.loaded, forced, workspace);
-        if (block_any(mask)) {
-          result.detected_by[fi] = batch.base + block_first_lane(mask);
-          ++shard_detected[s];
-        } else {
-          live[kept++] = fi;
-        }
-      }
-      live.resize(kept);
-    }
-  });
-  for (const std::size_t count : shard_detected) {
-    result.detected += count;
-  }
-  return result;
+  BridgingModel model{frame, faults, patterns, frame.netlist().compiled(), {}};
+  return grading::grade(model, faults.size(), grading::block_count(patterns.size()),
+                        pool, fault_shard);
 }
 
 // --- sequential multi-cycle stuck-at ----------------------------------------
@@ -430,7 +242,7 @@ SeqContext build_seq_context(const Netlist& netlist, std::size_t sequences,
   ctx.compiled = netlist.compiled();
   ctx.sequences = sequences;
   ctx.cycles = cycles;
-  ctx.block_count = (sequences + kLaneBlockBits - 1) / kLaneBlockBits;
+  ctx.block_count = grading::block_count(sequences);
   for (const CellId id : netlist.inputs()) {
     ctx.pi_slots.push_back(ctx.compiled->slot(netlist.cell(id).out));
   }
@@ -477,98 +289,64 @@ SeqContext build_seq_context(const Netlist& netlist, std::size_t sequences,
   return ctx;
 }
 
-/// Full faulty-machine re-simulation of one fault over one lane block;
-/// returns the per-lane OR of PO differences across all cycles.
-LaneBlock seq_fault_block(const SeqContext& ctx, const Fault& fault,
-                          const CompiledNetlist::Cone& cone, std::size_t b,
-                          std::vector<LaneBlock>& values,
-                          std::vector<LaneBlock>& po_scratch,
-                          std::vector<LaneBlock>& d_scratch) {
-  values.assign(values.size(), LaneBlock{});
-  const LaneBlock clamp = block_broadcast(fault.stuck_at);
-  const std::uint32_t slot = ctx.compiled->slot(fault.net);
-  const std::size_t po_count = ctx.po_slots.size();
-  LaneBlock diff{};
-  for (std::size_t t = 0; t < ctx.cycles; ++t) {
-    seq_step(ctx, values, b, t, &cone, slot, clamp, po_scratch.data(), d_scratch);
-    for (std::size_t p = 0; p < po_count; ++p) {
-      diff = diff | (po_scratch[p] ^ ctx.good_po[b][t * po_count + p]);
+/// Sequential grading: per block, a full faulty-machine re-simulation of
+/// the fault, detected by the per-lane OR of PO differences across all
+/// cycles. Each shard builds its faults' clamp cones at shard start.
+struct SequentialModel {
+  const Netlist& netlist;
+  const std::vector<Fault>& faults;
+  std::size_t sequences;
+  std::size_t cycles;
+  std::uint64_t seed;
+  SeqContext ctx;
+
+  struct Shard {
+    std::size_t first = 0;
+    std::vector<CompiledNetlist::Cone> cones;
+    std::vector<LaneBlock> values;
+    std::vector<LaneBlock> po_scratch;
+    std::vector<LaneBlock> d_scratch;
+  };
+
+  void prepare(ThreadPool&) { ctx = build_seq_context(netlist, sequences, cycles, seed); }
+  Shard shard(std::size_t first, std::size_t last) const {
+    Shard shard{first, {}, std::vector<LaneBlock>(ctx.compiled->slot_count()),
+                std::vector<LaneBlock>(ctx.po_slots.size()),
+                std::vector<LaneBlock>(ctx.d_slots.size())};
+    shard.cones.reserve(last - first);
+    for (std::size_t fi = first; fi < last; ++fi) {
+      shard.cones.push_back(ctx.compiled->build_cone(faults[fi].net));
     }
+    return shard;
   }
-  return diff & block_lane_mask(ctx.block_lanes(b));
-}
+  LaneBlock detect(std::size_t fi, std::size_t b, Shard& shard) const {
+    const Fault& fault = faults[fi];
+    shard.values.assign(shard.values.size(), LaneBlock{});
+    const LaneBlock clamp = block_broadcast(fault.stuck_at);
+    const std::uint32_t slot = ctx.compiled->slot(fault.net);
+    const std::size_t po_count = ctx.po_slots.size();
+    LaneBlock diff{};
+    for (std::size_t t = 0; t < ctx.cycles; ++t) {
+      seq_step(ctx, shard.values, b, t, &shard.cones[fi - shard.first], slot, clamp,
+               shard.po_scratch.data(), shard.d_scratch);
+      for (std::size_t p = 0; p < po_count; ++p) {
+        diff = diff | (shard.po_scratch[p] ^ ctx.good_po[b][t * po_count + p]);
+      }
+    }
+    return diff & block_lane_mask(ctx.block_lanes(b));
+  }
+};
 
 }  // namespace
 
 FaultSimResult sequential_fault_simulate(const Netlist& netlist,
                                          const std::vector<Fault>& faults,
                                          std::size_t sequences, std::size_t cycles,
-                                         std::uint64_t seed) {
-  FaultSimResult result;
-  result.total_faults = faults.size();
-  result.detected_by.assign(faults.size(), npos);
-  if (faults.empty() || sequences == 0 || cycles == 0) {
-    return result;
-  }
-  const SeqContext ctx = build_seq_context(netlist, sequences, cycles, seed);
-  std::vector<LaneBlock> values(ctx.compiled->slot_count());
-  std::vector<LaneBlock> po_scratch(ctx.po_slots.size());
-  std::vector<LaneBlock> d_scratch(ctx.d_slots.size());
-  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-    const CompiledNetlist::Cone cone = ctx.compiled->build_cone(faults[fi].net);
-    for (std::size_t b = 0; b < ctx.block_count; ++b) {
-      const LaneBlock diff =
-          seq_fault_block(ctx, faults[fi], cone, b, values, po_scratch, d_scratch);
-      if (block_any(diff)) {
-        result.detected_by[fi] = b * kLaneBlockBits + block_first_lane(diff);
-        ++result.detected;
-        break;
-      }
-    }
-  }
-  return result;
-}
-
-FaultSimResult sequential_fault_simulate(const Netlist& netlist,
-                                         const std::vector<Fault>& faults,
-                                         std::size_t sequences, std::size_t cycles,
                                          std::uint64_t seed, ThreadPool& pool,
                                          std::size_t fault_shard) {
-  FaultSimResult result;
-  result.total_faults = faults.size();
-  result.detected_by.assign(faults.size(), npos);
-  if (faults.empty() || sequences == 0 || cycles == 0) {
-    return result;
-  }
-  if (fault_shard == 0) {
-    fault_shard = 1;
-  }
-  const SeqContext ctx = build_seq_context(netlist, sequences, cycles, seed);
-  const std::size_t shard_count = (faults.size() + fault_shard - 1) / fault_shard;
-  std::vector<std::size_t> shard_detected(shard_count, 0);
-  pool.parallel_for(shard_count, [&](std::size_t s) {
-    const std::size_t first = s * fault_shard;
-    const std::size_t last = std::min(faults.size(), first + fault_shard);
-    std::vector<LaneBlock> values(ctx.compiled->slot_count());
-    std::vector<LaneBlock> po_scratch(ctx.po_slots.size());
-    std::vector<LaneBlock> d_scratch(ctx.d_slots.size());
-    for (std::size_t fi = first; fi < last; ++fi) {
-      const CompiledNetlist::Cone cone = ctx.compiled->build_cone(faults[fi].net);
-      for (std::size_t b = 0; b < ctx.block_count; ++b) {
-        const LaneBlock diff =
-            seq_fault_block(ctx, faults[fi], cone, b, values, po_scratch, d_scratch);
-        if (block_any(diff)) {
-          result.detected_by[fi] = b * kLaneBlockBits + block_first_lane(diff);
-          ++shard_detected[s];
-          break;
-        }
-      }
-    }
-  });
-  for (const std::size_t count : shard_detected) {
-    result.detected += count;
-  }
-  return result;
+  SequentialModel model{netlist, faults, sequences, cycles, seed, {}};
+  const std::size_t blocks = cycles == 0 ? 0 : grading::block_count(sequences);
+  return grading::grade(model, faults.size(), blocks, pool, fault_shard);
 }
 
 }  // namespace retscan

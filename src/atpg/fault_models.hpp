@@ -38,17 +38,14 @@ std::string transition_fault_name(const Netlist& netlist, const TransitionFault&
 /// (patterns.size() - 1 pairs exist). Reuses the packed kernel: per block,
 /// the launch and capture batches are loaded and settled once, then every
 /// live fault is an incremental cone pass over the capture batch masked by
-/// the launch-value condition.
-FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
-                                         const std::vector<TransitionFault>& faults,
-                                         const std::vector<BitVec>& patterns);
-/// Pooled variant: bit-identical to the serial result at any thread count
+/// the launch-value condition. Identical at any thread count and shard size
 /// (fault shards own disjoint result slots; pairs are pure functions of the
 /// pattern list).
 FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
                                          const std::vector<TransitionFault>& faults,
                                          const std::vector<BitVec>& patterns,
-                                         ThreadPool& pool, std::size_t fault_shard = 128);
+                                         ThreadPool& pool,
+                                         std::size_t fault_shard = grading::kShard);
 
 /// Bridging fault between two nets with wired-AND or wired-OR dominance:
 /// both nets take a OP b whenever the pattern drives them apart. Simulated
@@ -73,14 +70,12 @@ std::vector<BridgingFault> enumerate_bridging_faults(const Netlist& netlist);
 std::string bridging_fault_name(const Netlist& netlist, const BridgingFault& fault);
 
 /// Bridging fault simulation with fault dropping; detected_by[i] is the
-/// first detecting pattern index.
-FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
-                                       const std::vector<BridgingFault>& faults,
-                                       const std::vector<BitVec>& patterns);
+/// first detecting pattern index, identical at any thread count.
 FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
                                        const std::vector<BridgingFault>& faults,
                                        const std::vector<BitVec>& patterns,
-                                       ThreadPool& pool, std::size_t fault_shard = 128);
+                                       ThreadPool& pool,
+                                       std::size_t fault_shard = grading::kShard);
 
 /// Sequential multi-cycle stuck-at fault simulation for '89-class circuits:
 /// no scan access — lanes are independent random primary-input sequences of
@@ -93,11 +88,7 @@ FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
 FaultSimResult sequential_fault_simulate(const Netlist& netlist,
                                          const std::vector<Fault>& faults,
                                          std::size_t sequences, std::size_t cycles,
-                                         std::uint64_t seed);
-FaultSimResult sequential_fault_simulate(const Netlist& netlist,
-                                         const std::vector<Fault>& faults,
-                                         std::size_t sequences, std::size_t cycles,
                                          std::uint64_t seed, ThreadPool& pool,
-                                         std::size_t fault_shard = 64);
+                                         std::size_t fault_shard = grading::kSequentialShard);
 
 }  // namespace retscan

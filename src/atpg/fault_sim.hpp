@@ -28,8 +28,8 @@ namespace retscan {
 /// fanout cone is re-evaluated, only its reachable observation points are
 /// compared, and the touched slots are restored afterwards — so per-fault
 /// cost is O(cone), not O(circuit). Cones are built lazily per fault site
-/// and cached (thread-safe; the pooled fault simulator warms the cache
-/// before fanning out).
+/// and cached (thread-safe; the fault simulators warm the cache before
+/// fanning out).
 class CombinationalFrame {
  public:
   explicit CombinationalFrame(const Netlist& netlist);
@@ -167,9 +167,9 @@ class CombinationalFrame {
   std::uint64_t detect_mask_full(const Fault& fault, const std::vector<BitVec>& patterns,
                                  const std::vector<std::uint64_t>& good_words) const;
 
-  /// Pre-build the cone of every fault site in `faults`. The pooled fault
-  /// simulator calls this on the caller thread so workers only take cache
-  /// hits; optional elsewhere (cones build lazily under a lock).
+  /// Pre-build the cone of every fault site in `faults` on the calling
+  /// thread so later concurrent queries only take cache hits; optional
+  /// (cones build lazily under a lock).
   void warm_cones(const std::vector<Fault>& faults) const;
 
  private:
@@ -199,7 +199,7 @@ class CombinationalFrame {
   mutable std::unordered_map<NetId, std::unique_ptr<FaultCone>> cones_;
 };
 
-/// Fault-simulate a pattern set over a fault list with fault dropping.
+/// Result of grading a fault list: per-fault first detection plus totals.
 struct FaultSimResult {
   /// Sentinel in detected_by for faults no pattern detected.
   static constexpr std::size_t npos = static_cast<std::size_t>(-1);
@@ -214,19 +214,31 @@ struct FaultSimResult {
   }
 };
 
-FaultSimResult fault_simulate(const CombinationalFrame& frame,
-                              const std::vector<Fault>& faults,
-                              const std::vector<BitVec>& patterns);
+namespace grading {
+/// Default fault-list shard (the faults a worker claims at a time) of the
+/// combinational graders and of sequential coverage, whose faults each cost
+/// a full multi-cycle re-simulation. Internal to the graders and the
+/// campaign router, where CampaignSpec::shard_size = 0 resolves to these.
+inline constexpr std::size_t kShard = 128;
+inline constexpr std::size_t kSequentialShard = 64;
 
-/// Multi-threaded fault simulation: pattern batches are preloaded once,
-/// then the fault list is sharded across the pool (each worker carries its
-/// own evaluation workspace). Per-fault results — including the index of
-/// the first detecting pattern — are a pure function of (fault, patterns),
-/// so the result is identical to the serial fault_simulate() at any thread
-/// count. `fault_shard` is the fault-list chunk a worker claims at a time.
+/// Shards a list of `faults` is cut into at `fault_shard` per shard (0 → 1).
+inline std::size_t shard_count(std::size_t faults, std::size_t fault_shard) {
+  fault_shard = fault_shard == 0 ? 1 : fault_shard;
+  return (faults + fault_shard - 1) / fault_shard;
+}
+}  // namespace grading
+
+/// Stuck-at fault simulation with fault dropping. Pattern batches are
+/// loaded and settled once, then the fault list is sharded across the pool
+/// (each worker carries its own evaluation workspace). Per-fault results —
+/// including the index of the first detecting pattern — are a pure function
+/// of (fault, patterns), so the result is identical at any thread count and
+/// shard size; a 1-thread pool runs the shards inline. `fault_shard` is the
+/// fault-list chunk a worker claims at a time.
 FaultSimResult fault_simulate(const CombinationalFrame& frame,
                               const std::vector<Fault>& faults,
                               const std::vector<BitVec>& patterns,
-                              ThreadPool& pool, std::size_t fault_shard = 128);
+                              ThreadPool& pool, std::size_t fault_shard = grading::kShard);
 
 }  // namespace retscan

@@ -283,7 +283,8 @@ TEST(ApiFaultCoverage, MatchesLegacyAtpgPlusFaultSim) {
   EXPECT_EQ(result.atpg.detected_podem, atpg.detected_podem);
   EXPECT_EQ(result.atpg.untestable, atpg.untestable);
 
-  const FaultSimResult serial = fault_simulate(frame, faults, atpg.patterns);
+  ThreadPool pool(1);
+  const FaultSimResult serial = fault_simulate(frame, faults, atpg.patterns, pool);
   EXPECT_EQ(result.faults.detected, serial.detected);
   EXPECT_EQ(result.faults.detected_by, serial.detected_by);
   EXPECT_GT(result.atpg.coverage(), 0.9);
@@ -359,6 +360,42 @@ TEST(ApiScanTest, CampaignKindRunsAtpgAndDelivery) {
   EXPECT_EQ(two_threads.scan_test.patterns_applied,
             result.scan_test.patterns_applied);
   EXPECT_EQ(two_threads.scan_test.mismatches, result.scan_test.mismatches);
+}
+
+TEST(ApiCampaign, CompleteResultsCompleteEveryShard) {
+  // Every kind, on every backend that runs it: a Complete result accounts
+  // for its whole shard plan.
+  Session session = gate_session();
+  for (const CampaignKind kind :
+       {CampaignKind::Validation, CampaignKind::Injection, CampaignKind::FaultCoverage,
+        CampaignKind::ScanTest, CampaignKind::TransitionDelay, CampaignKind::Bridging,
+        CampaignKind::SequentialCoverage}) {
+    for (const Backend backend :
+         {Backend::Reference, Backend::Packed, Backend::PackedParallel}) {
+      CampaignSpec spec;
+      spec.kind = kind;
+      spec.backend = backend;
+      spec.seed = 3;
+      spec.atpg.random_patterns = 64;
+      spec.atpg.run_podem = false;
+      if (kind == CampaignKind::Validation || kind == CampaignKind::Injection) {
+        spec.tier = ValidationTier::Structural;
+        spec.sequences = 128;
+      }
+      if (kind == CampaignKind::Injection) {
+        spec.mode = InjectionMode::RushModel;
+      }
+      if (kind == CampaignKind::SequentialCoverage) {
+        spec.sequences = 64;
+        spec.cycles = 4;
+      }
+      SCOPED_TRACE(std::string(to_string(kind)) + " on " + to_string(backend));
+      const CampaignResult result = session.run(spec);
+      ASSERT_EQ(result.status, CampaignStatus::Complete);
+      EXPECT_GT(result.shard_count, 0u);
+      EXPECT_EQ(result.shards_completed, result.shard_count);
+    }
+  }
 }
 
 // --- spec validation --------------------------------------------------------

@@ -144,7 +144,8 @@ TEST(FaultSim, ConeSimulationMatchesFullSimulationCoverage) {
       }
     }
   }
-  const FaultSimResult result = fault_simulate(frame, faults, patterns);
+  ThreadPool pool(1);
+  const FaultSimResult result = fault_simulate(frame, faults, patterns, pool);
   EXPECT_EQ(result.detected_by, reference);
   EXPECT_EQ(result.detected, reference_detected);
   EXPECT_GT(result.detected, 0u);
@@ -159,7 +160,8 @@ TEST(FaultSim, ExhaustivePatternsDetectAllAdderFaults) {
   for (int i = 0; i < 256; ++i) {
     patterns.push_back(frame.random_pattern(rng));
   }
-  const FaultSimResult result = fault_simulate(frame, faults, patterns);
+  ThreadPool pool(1);
+  const FaultSimResult result = fault_simulate(frame, faults, patterns, pool);
   // The adder frame is fully testable; 256 random patterns over a handful
   // of inputs saturate it.
   EXPECT_EQ(result.detected, result.total_faults);

@@ -1,8 +1,9 @@
 // Transition-delay, bridging and sequential fault models (atpg/fault_models):
 // hand-computed detections on gate-sized circuits, golden coverage
 // regressions on the vendored benchmarks (c17 / s27 + two mid-size designs),
-// serial/pooled bit-identity at 1 and 8 threads, schedule invariance, and
-// the campaign-kind plumbing (routing, validation, spellings).
+// one table of thread-count and shard-size invariance over all four fault
+// models, schedule invariance, and the campaign-kind plumbing (routing,
+// validation, spellings).
 
 #include "atpg/fault_models.hpp"
 
@@ -10,6 +11,7 @@
 
 #include <initializer_list>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "atpg/fault_sim.hpp"
@@ -17,6 +19,7 @@
 #include "retscan/campaign.hpp"
 #include "retscan/session.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 #include "util/thread_pool.hpp"
 
 #ifndef RETSCAN_CIRCUITS_DIR
@@ -68,7 +71,8 @@ TEST(TransitionDelay, BufferHandComputed) {
   // STF needs launch 1 + SA1 detected at capture (pair 1).
   const std::vector<BitVec> patterns = {make_pattern({0}), make_pattern({1}),
                                         make_pattern({0})};
-  const FaultSimResult result = transition_fault_simulate(frame, faults, patterns);
+  ThreadPool pool(1);
+  const FaultSimResult result = transition_fault_simulate(frame, faults, patterns, pool);
   EXPECT_EQ(result.total_faults, 2u);
   EXPECT_EQ(result.detected, 2u);
   EXPECT_EQ(result.detected_by[0], 0u);  // STR by the 0→1 pair
@@ -84,7 +88,8 @@ TEST(TransitionDelay, ConstantPatternsLaunchNothing) {
   // A 1,1 pair would *capture* SA0 on `a`, but the launch value never sets
   // up the rising transition — the launch mask must veto the detection.
   const std::vector<BitVec> ones = {make_pattern({1}), make_pattern({1})};
-  const FaultSimResult none = transition_fault_simulate(frame, faults, ones);
+  ThreadPool pool(1);
+  const FaultSimResult none = transition_fault_simulate(frame, faults, ones, pool);
   EXPECT_EQ(none.detected, 0u);
   EXPECT_EQ(none.detected_by[0], FaultSimResult::npos);
   EXPECT_EQ(none.detected_by[1], FaultSimResult::npos);
@@ -127,14 +132,15 @@ TEST(Bridging, GateInputPairHandComputed) {
   // a=1, b=0 drives the nets apart: wired-AND forces both to 0 (z drops to
   // 0, good 1); wired-OR forces both to 1 (y rises to 1, good 0).
   const std::vector<BitVec> split = {make_pattern({1, 0})};
-  const FaultSimResult detected = bridging_fault_simulate(frame, faults, split);
+  ThreadPool pool(1);
+  const FaultSimResult detected = bridging_fault_simulate(frame, faults, split, pool);
   EXPECT_EQ(detected.detected, 2u);
   EXPECT_EQ(detected.detected_by[0], 0u);
   EXPECT_EQ(detected.detected_by[1], 0u);
 
   // Patterns that never drive a and b apart cannot expose either dominance.
   const std::vector<BitVec> agree = {make_pattern({0, 0}), make_pattern({1, 1})};
-  const FaultSimResult none = bridging_fault_simulate(frame, faults, agree);
+  const FaultSimResult none = bridging_fault_simulate(frame, faults, agree, pool);
   EXPECT_EQ(none.detected, 0u);
 
   const std::string name = bridging_fault_name(nl, faults[0]);
@@ -159,15 +165,10 @@ TEST(Sequential, FlopOutputFaultsDetectedThroughCycles) {
   // From the all-zero state, SA1 on q differs the moment the good machine
   // holds d=0 (cycle after reset at the latest); SA0 needs a 1 to have been
   // clocked through. The random stimulus hits both within a few cycles.
-  const FaultSimResult serial = sequential_fault_simulate(nl, faults, 4, 8, 99);
-  EXPECT_EQ(serial.total_faults, 2u);
-  EXPECT_EQ(serial.detected, 2u);
-
-  ThreadPool pool(4);
-  const FaultSimResult pooled =
-      sequential_fault_simulate(nl, faults, 4, 8, 99, pool, 1);
-  EXPECT_EQ(pooled.detected, serial.detected);
-  EXPECT_EQ(pooled.detected_by, serial.detected_by);
+  ThreadPool pool(1);
+  const FaultSimResult result = sequential_fault_simulate(nl, faults, 4, 8, 99, pool);
+  EXPECT_EQ(result.total_faults, 2u);
+  EXPECT_EQ(result.detected, 2u);
 }
 
 TEST(Sequential, CombinationalNetlistDegeneratesToSingleCycle) {
@@ -177,7 +178,8 @@ TEST(Sequential, CombinationalNetlistDegeneratesToSingleCycle) {
   const Netlist nl = read_verilog_text(kBufModule, "buf.v");
   const NetId a = nl.find_net("a");
   const std::vector<Fault> faults = {{a, false}, {a, true}};
-  const FaultSimResult result = sequential_fault_simulate(nl, faults, 2, 4, 3);
+  ThreadPool pool(1);
+  const FaultSimResult result = sequential_fault_simulate(nl, faults, 2, 4, 3, pool);
   EXPECT_EQ(result.detected, 2u);
 }
 
@@ -275,8 +277,11 @@ TEST(Invariance, BridgingThreads) {
   Session session = Session::from_verilog(circuit_path("cmp1908.v"));
   const CampaignResult serial =
       run_kind(session, CampaignKind::Bridging, Backend::Packed);
+  const CampaignResult one =
+      run_kind(session, CampaignKind::Bridging, Backend::PackedParallel, 1);
   const CampaignResult eight =
       run_kind(session, CampaignKind::Bridging, Backend::PackedParallel, 8);
+  expect_identical(serial, one);
   expect_identical(serial, eight);
 }
 
@@ -295,6 +300,127 @@ TEST(Invariance, SequentialThreadsAndSchedule) {
   expect_identical(serial, one);
   expect_identical(serial, eight);
   expect_identical(serial, sweep);
+}
+
+// --- invariance table: every model x threads x shard size -----------------
+
+enum class Model { StuckAt, Transition, Bridging, Sequential };
+
+const char* model_name(Model model) {
+  switch (model) {
+    case Model::StuckAt:    return "stuck-at";
+    case Model::Transition: return "transition";
+    case Model::Bridging:   return "bridging";
+    case Model::Sequential: return "sequential";
+  }
+  return "?";
+}
+
+/// One grading input: `tests` patterns (sequences, for the sequential
+/// model) over the model's full fault universe, or over no faults at all.
+struct GradeCase {
+  const char* name;
+  std::size_t tests;
+  bool no_faults;
+};
+
+/// Combinational models grade cmp1908; sequential grades ctrl344.
+struct GradeFixture {
+  Netlist combinational = Netlist::from_verilog(circuit_path("cmp1908.v"));
+  Netlist sequential = Netlist::from_verilog(circuit_path("ctrl344.v"));
+  CombinationalFrame frame{combinational};
+  std::vector<Fault> stuck_at = collapse_faults(combinational, enumerate_faults(combinational));
+  std::vector<TransitionFault> transition = enumerate_transition_faults(combinational);
+  std::vector<BridgingFault> bridging = enumerate_bridging_faults(combinational);
+  std::vector<Fault> sequential_faults = collapse_faults(sequential, enumerate_faults(sequential));
+
+  std::vector<BitVec> patterns(std::size_t count) const {
+    Rng rng(23);
+    std::vector<BitVec> out;
+    for (std::size_t i = 0; i < count; ++i) {
+      out.push_back(frame.random_pattern(rng));
+    }
+    return out;
+  }
+
+  FaultSimResult grade(Model model, const GradeCase& c, ThreadPool& pool,
+                       std::size_t shard) const {
+    const auto faults = [&](const auto& universe) {
+      return c.no_faults ? std::decay_t<decltype(universe)>{} : universe;
+    };
+    const std::vector<BitVec> set = patterns(model == Model::Sequential ? 0 : c.tests);
+    switch (model) {
+      case Model::StuckAt:
+        return fault_simulate(frame, faults(stuck_at), set, pool, shard);
+      case Model::Transition:
+        return transition_fault_simulate(frame, faults(transition), set, pool, shard);
+      case Model::Bridging:
+        return bridging_fault_simulate(frame, faults(bridging), set, pool, shard);
+      case Model::Sequential:
+        return sequential_fault_simulate(sequential, faults(sequential_faults), c.tests, 16,
+                                         5, pool, shard);
+    }
+    return {};
+  }
+};
+
+TEST(Invariance, EveryModelAcrossThreadsAndShardSizes) {
+  const GradeFixture fixture;
+  // 300 is not a multiple of the lane-block width at any RETSCAN_LANE_WORDS,
+  // so the last block is partial; one pattern makes zero transition pairs.
+  const GradeCase cases[] = {
+      {"300 tests", 300, false},
+      {"no tests", 0, false},
+      {"one test", 1, false},
+      {"no faults", 300, true},
+  };
+  for (const Model model :
+       {Model::StuckAt, Model::Transition, Model::Bridging, Model::Sequential}) {
+    for (const GradeCase& c : cases) {
+      SCOPED_TRACE(std::string(model_name(model)) + ", " + c.name);
+      const std::size_t default_shard =
+          model == Model::Sequential ? grading::kSequentialShard : grading::kShard;
+      ThreadPool one(1);
+      const FaultSimResult reference = fixture.grade(model, c, one, default_shard);
+
+      // The reference itself is consistent: detected counts its non-npos
+      // entries, and every first detection indexes an existing test.
+      const std::size_t tests =
+          model == Model::Transition ? (c.tests < 2 ? 0 : c.tests - 1) : c.tests;
+      std::size_t hits = 0;
+      for (const std::size_t first : reference.detected_by) {
+        if (first != FaultSimResult::npos) {
+          EXPECT_LT(first, tests);
+          ++hits;
+        }
+      }
+      EXPECT_EQ(reference.detected, hits);
+      EXPECT_EQ(reference.detected_by.size(), reference.total_faults);
+      if (c.no_faults) {
+        EXPECT_EQ(reference.total_faults, 0u);
+      } else {
+        EXPECT_GT(reference.total_faults, 0u);
+      }
+      if (tests == 0) {
+        EXPECT_EQ(reference.detected, 0u);
+      }
+      if (c.tests == 300 && !c.no_faults) {
+        EXPECT_GT(reference.detected, 0u);
+      }
+
+      for (const unsigned threads : {1u, 3u, 8u}) {
+        ThreadPool pool(threads);
+        for (const std::size_t shard : {std::size_t{1}, std::size_t{7}, default_shard}) {
+          const FaultSimResult graded = fixture.grade(model, c, pool, shard);
+          EXPECT_EQ(graded.total_faults, reference.total_faults);
+          EXPECT_EQ(graded.detected, reference.detected)
+              << threads << " threads, shard " << shard;
+          EXPECT_EQ(graded.detected_by, reference.detected_by)
+              << threads << " threads, shard " << shard;
+        }
+      }
+    }
+  }
 }
 
 // --- campaign plumbing ----------------------------------------------------

@@ -344,7 +344,8 @@ TEST(FaultSimParallel, ShardMergeMatchesSerialFaultCoverage) {
     patterns.push_back(fixture.frame.random_pattern(rng));
   }
 
-  const FaultSimResult serial = fault_simulate(fixture.frame, faults, patterns);
+  ThreadPool serial_pool(1);
+  const FaultSimResult serial = fault_simulate(fixture.frame, faults, patterns, serial_pool);
   ThreadPool pool(4);
   const FaultSimResult pooled =
       fault_simulate(fixture.frame, faults, patterns, pool, 32);

@@ -378,6 +378,20 @@ TEST(ServeJobManager, BadSpecFailsTheJobNotTheDaemon) {
             good.summary->passed ? 0 : 1);
 }
 
+TEST(ServeJobManager, FinishedCoverageJobCountsEveryShard) {
+  ServeOptions options;
+  options.max_active = 1;
+  JobManager manager(options);
+  // Coverage kinds report no per-shard progress; the finished record must
+  // still show the whole shard plan done (`retscan jobs` prints N/N).
+  const JobRecord done = run_one(manager, coverage_spec());
+  ASSERT_EQ(done.state, JobState::Done) << done.error;
+  ASSERT_TRUE(done.summary.has_value());
+  EXPECT_GT(done.shard_count, 1u);
+  EXPECT_EQ(done.shards_done, done.shard_count);
+  EXPECT_EQ(done.summary->shards_completed, done.summary->shard_count);
+}
+
 TEST(ServeJobManager, CancelHitsQueuedAndRunningJobs) {
   ServeOptions options;
   options.max_active = 1;  // one driver: FIFO order is deterministic

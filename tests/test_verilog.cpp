@@ -352,8 +352,9 @@ TEST(VerilogReader, ExpressionCircuitsRoundTripWithIdenticalDigests) {
   const std::vector<Fault> faults_a = enumerate_faults(first);
   const std::vector<Fault> faults_b = enumerate_faults(second);
   ASSERT_EQ(faults_a.size(), faults_b.size());
-  const FaultSimResult cov_a = fault_simulate(frame_a, faults_a, patterns);
-  const FaultSimResult cov_b = fault_simulate(frame_b, faults_b, patterns);
+  ThreadPool pool(1);
+  const FaultSimResult cov_a = fault_simulate(frame_a, faults_a, patterns, pool);
+  const FaultSimResult cov_b = fault_simulate(frame_b, faults_b, patterns, pool);
   EXPECT_EQ(cov_a.detected, cov_b.detected);
   EXPECT_EQ(cov_a.total_faults, cov_b.total_faults);
   EXPECT_EQ(cov_a.detected_by, cov_b.detected_by);
