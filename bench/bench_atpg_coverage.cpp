@@ -9,6 +9,11 @@
 // the live gate-level design; every pattern must pass, at full random+PODEM
 // coverage of testable faults.
 //
+// PODEM itself is timed against the retained reference implementation
+// (bench/reference_podem.hpp: full re-simulation per decision) on the
+// identical targets — every random-phase survivor — and both must return
+// identical results: `atpg_speedup` in BENCH_atpg.json.
+//
 // Also the fault-sim/delivery throughput bench: the 64-way bit-parallel
 // paths are timed against scalar baselines (one pattern per pass / one
 // pattern per scan load) and both throughputs land in BENCH_atpg.json,
@@ -22,6 +27,7 @@
 
 #include "retscan/test.hpp"
 #include "bench_util.hpp"
+#include "reference_podem.hpp"
 #include "retscan/netlist.hpp"
 #include "retscan/parallel.hpp"
 
@@ -103,6 +109,59 @@ int main() {
   json.set("coverage", atpg.coverage());
   json.set("patterns", static_cast<double>(atpg.patterns.size()));
   json.set("collapsed_faults", static_cast<double>(faults.size()));
+
+  // --- PODEM: compiled incremental vs reference full re-simulation --------
+  // Same targets (the random phase's survivors), same budget, same RNG seed
+  // on both sides; each side's time is the best of interleaved repetitions.
+  bench::header("PODEM (compiled incremental vs reference re-simulation)");
+  AtpgOptions random_only = options;
+  random_only.run_podem = false;
+  const AtpgResult random_phase = run_atpg(frame, faults, random_only);
+  ThreadPool grading_pool(1);
+  const FaultSimResult random_graded =
+      fault_simulate(frame, faults, random_phase.patterns, grading_pool);
+  std::vector<Fault> targets;
+  for (std::size_t i = 0; i < faults.size(); ++i) {
+    if (random_graded.detected_by[i] == FaultSimResult::npos) {
+      targets.push_back(faults[i]);
+    }
+  }
+  constexpr int kPodemRepeats = 3;
+  double compiled_podem_time = 0.0;
+  double reference_podem_time = 0.0;
+  bool podem_matches = true;
+  for (int r = 0; r < kPodemRepeats; ++r) {
+    std::vector<PodemResult> compiled_results;
+    std::vector<PodemResult> reference_results;
+    bench::Stopwatch podem_timer;
+    Podem podem(frame, options.max_backtracks);
+    Rng compiled_rng(options.seed);
+    for (const Fault& fault : targets) {
+      compiled_results.push_back(podem.generate(fault, compiled_rng));
+    }
+    const double compiled_time = podem_timer.seconds();
+    podem_timer.restart();
+    bench::ReferencePodem reference(frame, options.max_backtracks);
+    Rng reference_rng(options.seed);
+    for (const Fault& fault : targets) {
+      reference_results.push_back(reference.generate(fault, reference_rng));
+    }
+    const double reference_time = podem_timer.seconds();
+    podem_matches = podem_matches && compiled_results == reference_results;
+    compiled_podem_time = r == 0 ? compiled_time : std::min(compiled_podem_time, compiled_time);
+    reference_podem_time =
+        r == 0 ? reference_time : std::min(reference_podem_time, reference_time);
+  }
+  const double atpg_speedup = reference_podem_time / compiled_podem_time;
+  std::cout << targets.size() << " PODEM targets, results "
+            << (podem_matches ? "identical" : "DIVERGED") << "\n"
+            << "compiled:  " << compiled_podem_time << " s\n"
+            << "reference: " << reference_podem_time << " s\n"
+            << "speedup:   " << atpg_speedup << "x\n";
+  json.set("podem_targets", static_cast<double>(targets.size()));
+  json.set("podem_compiled_sec", compiled_podem_time);
+  json.set("podem_reference_sec", reference_podem_time);
+  json.set("atpg_speedup", atpg_speedup);
 
   // --- fault-simulation throughput: packed (64 patterns/pass) vs scalar ---
   // Timed on the full fault-dictionary workload (no dropping) so both sides
@@ -213,7 +272,7 @@ int main() {
   const bool ok = atpg.coverage() > 0.90 && scalar_applied.all_passed() &&
                   packed_applied.all_passed() && pooled_applied.all_passed() &&
                   pooled_applied.patterns_applied == packed_applied.patterns_applied &&
-                  pooled_matches && scaling_matches &&
+                  pooled_matches && scaling_matches && podem_matches &&
                   packed_detects == scalar_detects &&
                   faultsim_speedup >= 10.0 && delivery_speedup >= 10.0;
   json.set("pass", ok ? 1.0 : 0.0);

@@ -4,8 +4,8 @@ public surface (include/retscan/) only — never src/ internals directly.
 
 Allowed quoted includes:
   * "retscan/..."            the public header tree
-  * "bench_util.hpp"         bench-local helper (bench/ and tests/ only;
-                             itself lint-checked to sit on retscan/runtime)
+  * "bench_util.hpp"         bench-local helpers (bench/ and tests/ only;
+    "reference_podem.hpp"    themselves lint-checked to sit on retscan/)
 
 Angle-bracket includes (standard library, gtest) are always fine. Usage:
 
@@ -18,7 +18,7 @@ import sys
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 CHECKED_DIRS = ("examples", "bench", "tools")
-BENCH_LOCAL = {"bench_util.hpp"}
+BENCH_LOCAL = {"bench_util.hpp", "reference_podem.hpp"}
 
 
 def violations(root: pathlib.Path):

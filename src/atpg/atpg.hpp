@@ -48,8 +48,18 @@ struct AtpgResult {
 /// 1. Random phase: batches of 64 random patterns, parallel fault
 ///    simulation with fault dropping; patterns that detect nothing new are
 ///    discarded (reverse compaction).
-/// 2. Deterministic phase: PODEM on each remaining fault; successful
-///    patterns are fault-simulated to drop collateral detections.
+/// 2. Deterministic phase: PODEM on each remaining fault, in fault order,
+///    with one Podem instance for the whole phase. Implication is
+///    incremental over the compiled stream (only a changed input's fanout
+///    re-settles) and the D-frontier is a bitset kept by the same
+///    worklist; the decision order is that of a full re-simulation per
+///    decision, so the pattern set is too. Successful patterns are
+///    fault-simulated to drop collateral detections. Untestable faults
+///    leave the testable denominator; aborted ones (backtrack budget
+///    exceeded) stay in it, undetected.
+///
+/// The result is a pure function of (frame, faults, options): the same
+/// seed yields the same pattern set.
 AtpgResult run_atpg(const CombinationalFrame& frame, const std::vector<Fault>& faults,
                     const AtpgOptions& options);
 

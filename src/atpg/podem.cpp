@@ -1,5 +1,6 @@
 #include "atpg/podem.hpp"
 
+#include <bit>
 #include <limits>
 
 #include "util/error.hpp"
@@ -7,272 +8,271 @@
 namespace retscan {
 
 namespace {
-constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
-constexpr std::uint8_t kX = 2;
 
-std::uint8_t v_not(std::uint8_t a) { return a == kX ? kX : (a ? 0 : 1); }
-std::uint8_t v_and(std::uint8_t a, std::uint8_t b) {
-  if (a == 0 || b == 0) return 0;
-  if (a == 1 && b == 1) return 1;
-  return kX;
+constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
+constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
+constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+constexpr std::uint8_t kX = 2;  // input_values_ encoding: 0, 1 or X
+
+using Tri = Podem::Tri;
+constexpr std::uint8_t kGood = 1;
+constexpr std::uint8_t kFaulty = 2;
+constexpr std::uint8_t kBoth = kGood | kFaulty;
+constexpr Tri kZero{0, kBoth};
+constexpr Tri kOne{kBoth, 0};
+
+Tri tri_of(std::uint8_t value) { return value == kX ? Tri{} : value ? kOne : kZero; }
+std::uint8_t known(Tri t) { return t.one | t.zero; }
+bool good_x(Tri t) { return (known(t) & kGood) == 0; }
+/// Both machines definite and different: D or D'.
+bool is_d(Tri t) { return known(t) == kBoth && (t.one == kGood || t.one == kFaulty); }
+
+/// Operand count of an op; the unused operand fields read slot 0.
+unsigned arity(CompiledOp op) {
+  switch (op) {
+    case CompiledOp::Buf:
+    case CompiledOp::Not: return 1;
+    case CompiledOp::Mux2: return 3;
+    default: return 2;
+  }
 }
-std::uint8_t v_or(std::uint8_t a, std::uint8_t b) {
-  if (a == 1 || b == 1) return 1;
-  if (a == 0 && b == 0) return 0;
-  return kX;
+
+std::uint32_t operand(const CompiledInstr& in, unsigned pin) {
+  return pin == 0 ? in.in0 : pin == 1 ? in.in1 : in.in2;
 }
-std::uint8_t v_xor(std::uint8_t a, std::uint8_t b) {
-  if (a == kX || b == kX) return kX;
-  return a ^ b;
-}
-std::uint8_t v_mux(std::uint8_t s, std::uint8_t lo, std::uint8_t hi) {
-  if (s == 0) return lo;
-  if (s == 1) return hi;
-  // Select unknown: output known only if both branches agree.
-  return (lo != kX && lo == hi) ? lo : kX;
-}
+
 }  // namespace
 
 Podem::Podem(const CombinationalFrame& frame, std::size_t max_backtracks)
     : frame_(&frame),
-      max_backtracks_(max_backtracks),
-      good_(frame.netlist().net_count(), kX),
-      faulty_(frame.netlist().net_count(), kX),
-      input_values_(frame.pattern_width(), kX),
-      input_of_net_(frame.netlist().net_count(), kNpos) {
-  input_nets_.reserve(frame.pattern_width());
+      compiled_(frame.netlist().compiled()),
+      max_backtracks_(max_backtracks) {
+  const Netlist& nl = frame.netlist();
+  const std::vector<CompiledInstr>& instrs = compiled_->instrs();
+  const std::size_t slots = compiled_->slot_count();
+  source_count_ = static_cast<std::uint32_t>(slots - instrs.size());
+  for (std::uint32_t i = 0; i < instrs.size(); ++i) {
+    RETSCAN_CHECK(instrs[i].out == source_count_ + i,
+                  "Podem: compiled stream does not write slots in order");
+  }
+
+  input_of_slot_.assign(slots, kNpos);
+  input_slots_.reserve(frame.pattern_width());
+  const auto add_input = [&](NetId net) {
+    const std::uint32_t s = compiled_->slot(net);
+    input_of_slot_[s] = input_slots_.size();
+    input_slots_.push_back(s);
+  };
   for (const NetId net : frame.pi_nets()) {
-    input_of_net_[net] = input_nets_.size();
-    input_nets_.push_back(net);
+    add_input(net);
   }
   for (const CellId flop : frame.flops()) {
-    const NetId q = frame.netlist().cell(flop).out;
-    input_of_net_[q] = input_nets_.size();
-    input_nets_.push_back(q);
+    add_input(nl.cell(flop).out);
   }
-}
 
-void Podem::imply(const Fault& fault) {
-  const Netlist& nl = frame_->netlist();
-  std::fill(good_.begin(), good_.end(), kX);
-  std::fill(faulty_.begin(), faulty_.end(), kX);
-  for (std::size_t i = 0; i < input_nets_.size(); ++i) {
-    good_[input_nets_[i]] = input_values_[i];
-    faulty_[input_nets_[i]] = input_values_[i];
-  }
-  // Constant cells are sources outside the topological order.
+  // Baseline: everything X but constants and constrained inputs. Latch
+  // outputs stay X; backtrace walks through them to the latch's fanin.
+  baseline_.assign(slots, Tri{});
+  held_fanin_.assign(source_count_, {});
   for (CellId id = 0; id < nl.cell_count(); ++id) {
-    const CellType t = nl.cell(id).type;
-    if (t == CellType::Const0 || t == CellType::Const1) {
-      const std::uint8_t v = t == CellType::Const1 ? 1 : 0;
-      good_[nl.cell(id).out] = v;
-      faulty_[nl.cell(id).out] = v;
-    }
-  }
-  const std::uint8_t sa = fault.stuck_at ? 1 : 0;
-  if (faulty_[fault.net] != kX || input_of_net_[fault.net] != kNpos) {
-    faulty_[fault.net] = sa;
-  }
-  // A single forward pass in topological order suffices (no backward
-  // implication — PODEM only assigns at inputs).
-  for (const CellId id : nl.combinational_order()) {
     const Cell& c = nl.cell(id);
-    if (c.type == CellType::Output) {
+    if (c.out == kNullNet) {
       continue;
     }
-    auto eval_one = [&](const std::vector<std::uint8_t>& v) -> std::uint8_t {
-      const auto& f = c.fanin;
-      switch (c.type) {
-        case CellType::Buf: return v[f[0]];
-        case CellType::Not: return v_not(v[f[0]]);
-        case CellType::And2: return v_and(v[f[0]], v[f[1]]);
-        case CellType::Or2: return v_or(v[f[0]], v[f[1]]);
-        case CellType::Xor2: return v_xor(v[f[0]], v[f[1]]);
-        case CellType::Nand2: return v_not(v_and(v[f[0]], v[f[1]]));
-        case CellType::Nor2: return v_not(v_or(v[f[0]], v[f[1]]));
-        case CellType::Xnor2: return v_not(v_xor(v[f[0]], v[f[1]]));
-        case CellType::Mux2: return v_mux(v[f[0]], v[f[1]], v[f[2]]);
-        case CellType::Const0: return 0;
-        case CellType::Const1: return 1;
-        default: return kX;
-      }
-    };
-    good_[c.out] = eval_one(good_);
-    faulty_[c.out] = eval_one(faulty_);
-    if (c.out == fault.net) {
-      faulty_[c.out] = sa;
+    const std::uint32_t s = compiled_->slot(c.out);
+    if (s >= source_count_ || input_of_slot_[s] != kNpos) {
+      continue;
+    }
+    if (c.type == CellType::Const0 || c.type == CellType::Const1) {
+      baseline_[s] = c.type == CellType::Const1 ? kOne : kZero;
+    }
+    for (const NetId in : c.fanin) {
+      held_fanin_[s].push_back(compiled_->slot(in));
     }
   }
+  baseline_inputs_.assign(frame.pattern_width(), kX);
+  for (const auto& [index, value] : frame.constraints()) {
+    baseline_inputs_[index] = value ? 1 : 0;
+    baseline_[input_slots_[index]] = tri_of(baseline_inputs_[index]);
+  }
+  for (const CompiledInstr& in : instrs) {
+    baseline_[in.out] = CompiledNetlist::eval_instr(in, baseline_.data());
+  }
+
+  for (const NetId po : frame.po_nets()) {
+    obs_slots_.push_back(compiled_->slot(po));
+  }
+  for (const CellId flop : frame.flops()) {
+    obs_slots_.push_back(compiled_->slot(nl.cell(flop).fanin[0]));
+  }
+  frontier_.assign((instrs.size() + 63) / 64, 0);
+}
+
+Tri Podem::forced(Tri t) const {
+  const std::uint8_t faulty = stuck_ ? kFaulty : 0;
+  return {static_cast<std::uint8_t>((t.one & kGood) | faulty),
+          static_cast<std::uint8_t>((t.zero & kGood) | (kFaulty ^ faulty))};
+}
+
+void Podem::assign(std::size_t input, std::uint8_t value) {
+  input_values_[input] = value;
+  const std::uint32_t s = input_slots_[input];
+  values_[s] = s == fault_slot_ ? forced(tri_of(value)) : tri_of(value);
+  dirty_.push_back(s);
+}
+
+bool Podem::store(const CompiledInstr& in) {
+  Tri v = CompiledNetlist::eval_instr(in, values_.data());
+  if (in.out == fault_slot_) {
+    v = forced(v);
+  }
+  const bool changed = !(v == values_[in.out]);
+  values_[in.out] = v;
+
+  // D-frontier: output X in either machine and some operand carrying D.
+  bool live = false;
+  if (known(v) != kBoth) {
+    for (unsigned pin = 0; pin < arity(in.op) && !live; ++pin) {
+      live = is_d(values_[operand(in, pin)]);
+    }
+  }
+  const std::uint32_t i = in.out - source_count_;
+  std::uint64_t& word = frontier_[i / 64];
+  const std::uint64_t bit = std::uint64_t{1} << (i % 64);
+  if (live != ((word & bit) != 0)) {
+    word ^= bit;
+    frontier_size_ = live ? frontier_size_ + 1 : frontier_size_ - 1;
+  }
+  return changed;
+}
+
+void Podem::imply() {
+  compiled_->eval_event(dirty_, events_, kUnbounded,
+                        [this](const CompiledInstr& in) { return store(in); });
+  dirty_.clear();
 }
 
 bool Podem::detected() const {
-  const Netlist& nl = frame_->netlist();
-  for (const NetId po : frame_->po_nets()) {
-    if (good_[po] != kX && faulty_[po] != kX && good_[po] != faulty_[po]) {
-      return true;
-    }
-  }
-  for (const CellId flop : frame_->flops()) {
-    const NetId d = nl.cell(flop).fanin[0];
-    if (good_[d] != kX && faulty_[d] != kX && good_[d] != faulty_[d]) {
+  for (const std::uint32_t s : obs_slots_) {
+    if (is_d(values_[s])) {
       return true;
     }
   }
   return false;
 }
 
-bool Podem::activation_impossible(const Fault& fault) const {
-  const std::uint8_t sa = fault.stuck_at ? 1 : 0;
-  return good_[fault.net] == sa;
-}
-
-bool Podem::propagation_impossible(const Fault& fault) const {
-  // Fault must be activated (good side definite and != sa) for this check.
-  if (good_[fault.net] == kX) {
+bool Podem::propagation_impossible() const {
+  // Fault must be activated (good side definite and != sa) for this check;
+  // a live D-frontier gate keeps hope alive.
+  if (good_x(values_[fault_slot_]) || frontier_size_ > 0) {
     return false;
-  }
-  // D-frontier: any gate with a D input and an X output keeps hope alive.
-  const Netlist& nl = frame_->netlist();
-  for (const CellId id : nl.combinational_order()) {
-    const Cell& c = nl.cell(id);
-    if (c.type == CellType::Output || c.out == kNullNet) {
-      continue;
-    }
-    const bool out_x = good_[c.out] == kX || faulty_[c.out] == kX;
-    if (!out_x) {
-      continue;
-    }
-    for (const NetId in : c.fanin) {
-      if (good_[in] != kX && faulty_[in] != kX && good_[in] != faulty_[in]) {
-        return false;  // live D-frontier gate
-      }
-    }
   }
   return !detected();
 }
 
-Podem::Objective Podem::pick_objective(const Fault& fault) const {
+Podem::Objective Podem::pick_objective() const {
   Objective objective;
   // Phase 1: activate the fault.
-  if (good_[fault.net] == kX) {
+  if (good_x(values_[fault_slot_])) {
     objective.valid = true;
-    objective.net = fault.net;
-    objective.value = !fault.stuck_at;
+    objective.slot = fault_slot_;
+    objective.value = stuck_ == 0;
     return objective;
   }
   // Phase 2: advance the D-frontier — pick the first frontier gate and set
   // one of its X inputs to the gate's non-controlling value.
-  const Netlist& nl = frame_->netlist();
-  for (const CellId id : nl.combinational_order()) {
-    const Cell& c = nl.cell(id);
-    if (c.type == CellType::Output || c.out == kNullNet) {
-      continue;
-    }
-    if (!(good_[c.out] == kX || faulty_[c.out] == kX)) {
-      continue;
-    }
-    bool has_d = false;
-    for (const NetId in : c.fanin) {
-      if (good_[in] != kX && faulty_[in] != kX && good_[in] != faulty_[in]) {
-        has_d = true;
-        break;
-      }
-    }
-    if (!has_d) {
-      continue;
-    }
-    for (std::size_t pin = 0; pin < c.fanin.size(); ++pin) {
-      const NetId in = c.fanin[pin];
-      if (good_[in] != kX || faulty_[in] != kX) {
-        continue;
-      }
-      objective.valid = true;
-      objective.net = in;
-      switch (c.type) {
-        case CellType::And2:
-        case CellType::Nand2:
-          objective.value = true;
-          break;
-        case CellType::Or2:
-        case CellType::Nor2:
-          objective.value = false;
-          break;
-        case CellType::Mux2:
-          if (pin == 0) {
+  const std::vector<CompiledInstr>& instrs = compiled_->instrs();
+  for (std::size_t w = 0; w < frontier_.size(); ++w) {
+    for (std::uint64_t bits = frontier_[w]; bits != 0; bits &= bits - 1) {
+      const CompiledInstr& in = instrs[w * 64 + std::countr_zero(bits)];
+      for (unsigned pin = 0; pin < arity(in.op); ++pin) {
+        const std::uint32_t s = operand(in, pin);
+        if (known(values_[s]) != 0) {
+          continue;
+        }
+        objective.valid = true;
+        objective.slot = s;
+        switch (in.op) {
+          case CompiledOp::And2:
+          case CompiledOp::Nand2:
+            objective.value = true;
+            break;
+          case CompiledOp::Mux2:
             // Select the side carrying the D.
-            const NetId lo = c.fanin[1];
-            objective.value =
-                !(good_[lo] != kX && faulty_[lo] != kX && good_[lo] != faulty_[lo]);
-          } else {
-            objective.value = false;
-          }
-          break;
-        default:
-          objective.value = false;  // XOR-family: any definite value
-          break;
+            objective.value = pin == 0 && !is_d(values_[in.in1]);
+            break;
+          default:
+            objective.value = false;  // Or/Nor, XOR-family: any definite value
+            break;
+        }
+        return objective;
       }
-      return objective;
     }
   }
   return objective;  // invalid — caller backtracks
 }
 
 std::pair<std::size_t, bool> Podem::backtrace(const Objective& objective) const {
-  const Netlist& nl = frame_->netlist();
-  NetId net = objective.net;
+  const std::vector<CompiledInstr>& instrs = compiled_->instrs();
+  std::uint32_t s = objective.slot;
   bool value = objective.value;
-  for (;;) {
-    if (input_of_net_[net] != kNpos) {
-      return {input_of_net_[net], value};
+  // An acyclic walk visits each slot at most once; a latch whose output
+  // feeds its own input through X logic would otherwise loop forever.
+  for (std::size_t steps = 0;; ++steps) {
+    RETSCAN_CHECK(steps < values_.size(), "Podem::backtrace: X loop through a latch");
+    if (input_of_slot_[s] != kNpos) {
+      return {input_of_slot_[s], value};
     }
-    const CellId drv = nl.driver(net);
-    RETSCAN_CHECK(drv != kNullCell, "Podem::backtrace: undriven net");
-    const Cell& c = nl.cell(drv);
-    // Choose the first X input to keep walking through.
-    NetId next = kNullNet;
-    std::size_t next_pin = 0;
-    for (std::size_t pin = 0; pin < c.fanin.size(); ++pin) {
-      if (good_[c.fanin[pin]] == kX) {
-        next = c.fanin[pin];
-        next_pin = pin;
-        break;
+    // Walk through the first operand that is X in the good machine.
+    std::uint32_t next = kNoSlot;
+    if (s >= source_count_) {
+      const CompiledInstr& in = instrs[s - source_count_];
+      for (unsigned pin = 0; pin < arity(in.op) && next == kNoSlot; ++pin) {
+        if (good_x(values_[operand(in, pin)])) {
+          next = operand(in, pin);
+        }
+      }
+      if (in.op == CompiledOp::Not || in.op == CompiledOp::Nand2 ||
+          in.op == CompiledOp::Nor2) {
+        value = !value;  // Buf/And/Or/Xor-family/Mux2: keep value
+      }
+    } else {
+      for (const std::uint32_t in : held_fanin_[s]) {
+        if (good_x(values_[in])) {
+          next = in;
+          break;
+        }
       }
     }
-    RETSCAN_CHECK(next != kNullNet, "Podem::backtrace: no X path to inputs");
-    switch (c.type) {
-      case CellType::Not:
-      case CellType::Nand2:
-      case CellType::Nor2:
-        value = !value;
-        break;
-      case CellType::Mux2:
-        if (next_pin == 0) {
-          // Steering the select: aim it at a definite branch... value
-          // heuristic: keep as-is.
-        }
-        break;
-      default:
-        break;  // Buf/And/Or/Xor-family: keep value (heuristic for XOR)
-    }
-    net = next;
+    RETSCAN_CHECK(next != kNoSlot, "Podem::backtrace: no X path to inputs");
+    s = next;
   }
 }
 
 PodemResult Podem::generate(const Fault& fault, Rng& rng) {
   PodemResult result;
-  std::fill(input_values_.begin(), input_values_.end(), kX);
-  // Constrained inputs are fixed before any decision and are never X, so
-  // backtrace cannot choose them and backtracking cannot flip them.
-  for (const auto& [index, value] : frame_->constraints()) {
-    input_values_[index] = value ? 1 : 0;
-  }
+  values_ = baseline_;
+  input_values_ = baseline_inputs_;
+  std::fill(frontier_.begin(), frontier_.end(), 0);
+  frontier_size_ = 0;
+  dirty_.clear();
+
+  // Inject the fault: the faulty machine holds the stuck value at the
+  // site. (On a latch output, which stays X in the good machine, the
+  // forced value can never produce a D: three-valued simulation is
+  // monotone, so wherever the good machine is definite the faulty one
+  // agrees with it.)
+  fault_slot_ = compiled_->slot(fault.net);
+  stuck_ = fault.stuck_at ? 1 : 0;
+  values_[fault_slot_] = forced(values_[fault_slot_]);
+  dirty_.push_back(fault_slot_);
+  imply();
 
   struct Decision {
     std::size_t input;
     bool flipped;
   };
   std::vector<Decision> stack;
-  imply(fault);
 
   const std::size_t iteration_limit = 20000;
   for (std::size_t iteration = 0; iteration < iteration_limit; ++iteration) {
@@ -286,10 +286,12 @@ PodemResult Podem::generate(const Fault& fault, Rng& rng) {
       return result;
     }
 
-    const bool conflict = activation_impossible(fault) || propagation_impossible(fault);
+    const Tri site = values_[fault_slot_];
+    const bool activation_impossible = (stuck_ ? site.one : site.zero) & kGood;
+    const bool conflict = activation_impossible || propagation_impossible();
     Objective objective;
     if (!conflict) {
-      objective = pick_objective(fault);
+      objective = pick_objective();
     }
     if (conflict || !objective.valid) {
       // Backtrack chronologically.
@@ -302,25 +304,25 @@ PodemResult Podem::generate(const Fault& fault, Rng& rng) {
         Decision& top = stack.back();
         if (!top.flipped) {
           top.flipped = true;
-          input_values_[top.input] = input_values_[top.input] == 1 ? 0 : 1;
+          assign(top.input, input_values_[top.input] == 1 ? 0 : 1);
           ++result.backtracks;
           break;
         }
-        input_values_[top.input] = kX;
+        assign(top.input, kX);
         stack.pop_back();
       }
       if (result.backtracks > max_backtracks_) {
         result.aborted = true;
         return result;
       }
-      imply(fault);
+      imply();
       continue;
     }
 
     const auto [input, value] = backtrace(objective);
-    input_values_[input] = value ? 1 : 0;
+    assign(input, value ? 1 : 0);
     stack.push_back(Decision{input, false});
-    imply(fault);
+    imply();
   }
   result.aborted = true;
   return result;

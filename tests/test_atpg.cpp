@@ -14,8 +14,14 @@
 #include "scan/scan_insert.hpp"
 #include "circuits/fifo.hpp"
 #include "circuits/generators.hpp"
+#include "retscan/session.hpp"
 #include "scan/scan_io.hpp"
 #include "util/error.hpp"
+#include "util/fnv.hpp"
+
+#ifndef RETSCAN_CIRCUITS_DIR
+#define RETSCAN_CIRCUITS_DIR "bench/circuits"
+#endif
 
 namespace retscan {
 namespace {
@@ -208,6 +214,26 @@ TEST(Podem, ProvesRedundantFaultUntestable) {
   EXPECT_TRUE(sa1.success);
 }
 
+TEST(Podem, BacktraceLoopThroughLatchThrows) {
+  // y = q AND a, with q a latch fed back from y: q is X to PODEM, so
+  // propagating a/SA0 through the AND sends backtrace round q -> y -> q.
+  Netlist nl;
+  const NetId a = nl.add_input("a");
+  const NetId q = nl.add_net("q");
+  const NetId y = nl.n_and(q, a);
+  nl.add_cell_bound(CellType::LatchL, {y, a}, q);
+  nl.add_output("y", y);
+  const CombinationalFrame frame(nl);
+  Podem podem(frame);
+  Rng rng(6);
+  try {
+    podem.generate(Fault{a, false}, rng);
+    ADD_FAILURE() << "expected the backtrace loop guard to throw";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("X loop"), std::string::npos) << error.what();
+  }
+}
+
 TEST(Atpg, FullFlowReachesFullCoverageOnAdder) {
   Netlist nl = make_registered_adder(4);
   const CombinationalFrame frame(nl);
@@ -238,6 +264,63 @@ TEST(Atpg, RandomResistantFaultsNeedPodem) {
   const AtpgResult result = run_atpg(frame, faults, options);
   EXPECT_DOUBLE_EQ(result.coverage(), 1.0);
   EXPECT_GT(result.detected_podem, 0u);
+}
+
+/// Pinned complete-ATPG outcomes (random 256 + PODEM at 300 backtracks,
+/// seed 1) on imports that exercise PODEM's successes, untestables and
+/// aborts, with the '89-class circuits in the protection wrap perfbench and
+/// bench_external use. Any change to PODEM's search — objective, backtrace,
+/// backtrack order or X-fill draws — moves the counts or the digest.
+TEST(AtpgGoldens, CompleteAtpgOnImportsIsPinned) {
+  struct Golden {
+    const char* file;
+    std::size_t chains;  // 0 = bare import
+    CodeKind kind;
+    std::size_t total, detected_random, detected_podem, untestable, aborted, patterns;
+    std::uint64_t digest;  // FNV-1a of the pattern set
+  };
+  const Golden goldens[] = {
+      {"c17.v", 0, CodeKind::CrcDetect, 22, 22, 0, 0, 0, 4, 0x33a03f6cba3d1d21ull},
+      {"cmp1908.v", 0, CodeKind::CrcDetect, 1388, 1064, 319, 5, 0, 108,
+       0x42f5878b77d6ed14ull},
+      {"ctl2670.v", 0, CodeKind::CrcDetect, 2054, 1799, 253, 2, 0, 109,
+       0x2d04a657cce85ab2ull},
+      {"mul6288.v", 0, CodeKind::CrcDetect, 3458, 3410, 0, 24, 24, 63,
+       0xbe887dadbc7f7b31ull},
+      {"s27.v", 3, CodeKind::CrcDetect, 316, 201, 0, 53, 62, 9, 0x303f3b470d68cb6bull},
+      {"ctrl344.v", 4, CodeKind::HammingPlusCrc, 690, 495, 2, 130, 63, 25,
+       0xff153206f6af8243ull},
+  };
+  for (const Golden& golden : goldens) {
+    SCOPED_TRACE(golden.file);
+    Netlist nl = Netlist::from_verilog(std::string(RETSCAN_CIRCUITS_DIR) + "/" + golden.file);
+    ProtectionConfig protection;
+    protection.kind = golden.kind;
+    protection.chain_count = golden.chains;
+    protection.test_width = golden.chains;
+    Session session = golden.chains == 0 ? Session::unprotected(std::move(nl))
+                                         : Session(std::move(nl), protection);
+    AtpgOptions options;
+    options.random_patterns = 256;
+    options.max_backtracks = 300;
+    options.seed = 1;
+    const AtpgResult result = run_atpg(session.frame(), session.faults(), options);
+    Fnv1a digest;
+    digest.add(result.patterns.size());
+    for (const BitVec& pattern : result.patterns) {
+      digest.add(pattern.size());
+      for (const std::uint64_t word : pattern.words()) {
+        digest.add(word);
+      }
+    }
+    EXPECT_EQ(result.total_faults, golden.total);
+    EXPECT_EQ(result.detected_random, golden.detected_random);
+    EXPECT_EQ(result.detected_podem, golden.detected_podem);
+    EXPECT_EQ(result.untestable, golden.untestable);
+    EXPECT_EQ(result.aborted, golden.aborted);
+    EXPECT_EQ(result.patterns.size(), golden.patterns);
+    EXPECT_EQ(digest.hash, golden.digest);
+  }
 }
 
 /// Manufacturing test through real scan chains: ATPG patterns applied
