@@ -1,8 +1,3 @@
-// This file deliberately exercises the pre-v1 delivery entry points
-// (they are the backends the Session facade routes onto), so the
-// deprecation attributes are suppressed here.
-#define RETSCAN_SUPPRESS_DEPRECATED
-
 // Section III evidence: manufacturing test is unaffected by the monitoring
 // architecture. Runs ATPG on the protected FIFO's combinational frame and
 // applies the pattern set through the Fig. 5(b) test-mode concatenation on
@@ -237,10 +232,12 @@ int main() {
   }
 
   // --- test-mode delivery throughput: one lane per pattern vs one load ----
+  // The single-thread packed rate is the 64-lane delivery on a 1-thread
+  // pool, which runs its shards inline.
   bench::header("Test-mode delivery throughput (64-lane vs scalar tester)");
   timer.restart();
   const ScanTestResult packed_applied =
-      apply_test_mode_scan_test_packed(design, frame, atpg.patterns);
+      apply_test_mode_scan_test_packed(design, frame, atpg.patterns, serial_pool);
   const double packed_apply_time = timer.seconds();
   timer.restart();
   const ScanTestResult pooled_applied =

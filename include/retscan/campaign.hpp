@@ -1,6 +1,6 @@
 #pragma once
 
-/// retscan v1 public surface — declarative campaigns.
+/// retscan v2 public surface — declarative campaigns.
 ///
 /// One spec describes any of the library's statistical workloads —
 /// validation campaigns, fault-injection campaigns, fault-coverage /
@@ -8,8 +8,9 @@
 /// measurements, and manufacturing scan-test deliveries — with uniform
 /// seed / threads / shard knobs, and `run(Session&, spec)` routes it to
 /// the fastest backend the session can offer (or exactly the backend you
-/// pin). Same seed → bit-identical results, at any thread count, on any
-/// backend that has a legacy equivalent (asserted by tests/test_api.cpp).
+/// pin). Same seed → bit-identical results at any thread count, and equal
+/// to the engine entry point each backend routes onto (asserted by
+/// tests/test_api.cpp).
 
 #include <cstddef>
 #include <cstdint>
@@ -45,13 +46,12 @@ enum class CampaignKind {
 /// perf baselines). Every backend produces the same statistics for the
 /// same seed wherever an equivalence is defined (see tests/test_api.cpp).
 enum class Backend {
-  Auto,           ///< fastest available (usually PackedParallel)
+  Auto,           ///< fastest available (always PackedParallel today)
   Reference,      ///< validation/scan-test: scalar oracle, one trial/pattern
                   ///< at a time; coverage kinds: the sharded simulator on
                   ///< one thread
-  Packed,         ///< 64-way bit-parallel lanes, one thread (coverage kinds:
-                  ///< the same simulator on one thread, as Reference)
-  PackedParallel, ///< 64-way lanes × work-stealing thread pool
+  PackedParallel, ///< 64-way lanes × work-stealing thread pool (threads = 1
+                  ///< is the serial packed path)
 };
 
 /// Which model tier a validation campaign runs on.
@@ -60,38 +60,29 @@ enum class ValidationTier {
   Structural, ///< gate-level simulated ProtectedDesign (slow, exact)
 };
 
-/// How scan-test patterns reach the design. FullWidth applies only to
-/// plain scanned netlists — in a ProtectedDesign the per-chain si ports
-/// are superseded by the monitor feedback muxes, so Sessions (which always
-/// wrap a ProtectedDesign) reject it with an explanatory error; drive
-/// apply_scan_test on a pre-monitor netlist directly for that flow.
-enum class ScanAccess {
-  TestMode,  ///< narrow tsi/tso ports, Fig. 5(b) concatenation
-  FullWidth, ///< per-chain si/so ports (pre-monitor netlists only)
-};
-
 /// Canonical spellings — exactly the values the spec-file format and the
 /// `retscan` CLI accept ("validation", "packed-parallel", "rush-model", ...).
 const char* to_string(CampaignKind kind);
 const char* to_string(Backend backend);
 const char* to_string(ValidationTier tier);
-const char* to_string(ScanAccess access);
 const char* to_string(InjectionMode mode);
 
 /// Inverse of to_string; returns false (out untouched) on unknown text.
 bool from_string(std::string_view text, CampaignKind& out);
 bool from_string(std::string_view text, Backend& out);
 bool from_string(std::string_view text, ValidationTier& out);
-bool from_string(std::string_view text, ScanAccess& out);
 bool from_string(std::string_view text, InjectionMode& out);
 
-/// Options for Session::run_scan_test — the unified replacement for the
-/// five legacy `apply_*scan_test*` overloads.
+/// Options for Session::run_scan_test. Patterns always enter through the
+/// narrow tsi/tso ports (the Fig. 5(b) concatenation): in a ProtectedDesign
+/// the per-chain si ports are superseded by the monitor feedback muxes, so
+/// full-width access (apply_scan_test) only applies to plain scanned
+/// netlists, which a Session never wraps.
 struct ScanTestOptions {
-  ScanAccess access = ScanAccess::TestMode;
   Backend backend = Backend::Auto;
-  /// PackedParallel: pattern count per pool shard (64-lane aligned).
-  std::size_t patterns_per_shard = 256;
+  /// PackedParallel: patterns per pool shard, floored to whole 64-lane
+  /// batches; 0 → 256 (test_mode_patterns_per_shard).
+  std::size_t shard_size = 0;
 };
 
 /// Declarative description of one campaign. Geometry (FIFO, chains, code)
@@ -112,10 +103,11 @@ struct CampaignSpec {
   /// Worker threads for PackedParallel backends; 0 → the session's pool
   /// (RETSCAN_THREADS / hardware_concurrency).
   unsigned threads = 0;
-  /// Trials (or fault-list entries) per pool shard; 0 → backend default
-  /// (coverage kinds: 128 faults, 64 for sequential coverage). Coverage
-  /// kinds on Reference/Packed run the same simulator on one thread at the
-  /// default shard, so shard_size is PackedParallel-only there.
+  /// Trials, fault-list entries or patterns per pool shard; 0 → backend
+  /// default (coverage kinds: 128 faults, 64 for sequential coverage;
+  /// scan-test: 256 patterns, floored to whole 64-lane batches). Reference
+  /// runs coverage kinds on one thread at the default shard and delivers
+  /// scan tests unsharded, so shard_size is PackedParallel-only there.
   std::size_t shard_size = 0;
 
   // --- Validation / Injection ------------------------------------------
@@ -142,9 +134,6 @@ struct CampaignSpec {
   /// (pattern k launches, k+1 captures), so N patterns exercise N-1
   /// transitions; Bridging replays the same set per bridge.
   AtpgOptions atpg{};
-  ScanAccess access = ScanAccess::TestMode;
-  /// ScanTest PackedParallel: patterns per pool shard.
-  std::size_t patterns_per_shard = 256;
 
   // --- SequentialCoverage ----------------------------------------------
   /// Clock cycles per random primary-input sequence; `sequences` (above)
@@ -215,13 +204,19 @@ struct CampaignResult {
 
 /// Reject unrunnable specs with an actionable message (thrown as
 /// retscan::Error): zero trial counts, injection with nothing to inject,
-/// backends that don't exist for the tier/access, sessions lacking the
-/// golden model a validation campaign needs, bad shard sizes.
+/// backends that don't exist for the workload, sessions lacking the golden
+/// model a validation campaign needs, bad shard sizes.
 void validate(const CampaignSpec& spec, const Session& session);
 
 /// The strategy Auto resolves to (after validate()) — exposed so tools can
 /// report what would run without running it.
 Backend resolve_backend(const CampaignSpec& spec, const Session& session);
+
+/// Worker threads a campaign on the `resolved` backend runs with: one for
+/// Reference, else spec.threads, else the session's pool. run() picks its
+/// pool by this rule, so tools can report the count without running.
+unsigned resolve_threads(const CampaignSpec& spec, const Session& session,
+                         Backend resolved);
 
 /// Run the campaign on the session's design. Validates first; throws
 /// retscan::Error on a bad spec.

@@ -1,6 +1,6 @@
 #pragma once
 
-/// retscan v1 public surface — the Session facade.
+/// retscan v2 public surface — the Session facade.
 ///
 /// A Session owns one protected design and every expensive artifact built
 /// from it — the gate-level ProtectedDesign, the capture-constrained
@@ -112,12 +112,9 @@ class Session {
   /// Run a declarative campaign; equivalent to retscan::run(*this, spec).
   CampaignResult run(const CampaignSpec& spec);
 
-  /// Deliver a pattern set through the manufacturing-test scan fabric and
-  /// check responses — the one entry point replacing the legacy
-  /// apply_*scan_test* overloads. Backend Auto → pooled 64-lane delivery.
-  /// ScanAccess::FullWidth is rejected: a ProtectedDesign's per-chain si
-  /// ports are superseded by the monitor feedback muxes (see
-  /// retscan/campaign.hpp).
+  /// Deliver a pattern set through the Fig. 5(b) tsi/tso concatenation and
+  /// check responses: Backend::Reference runs the scalar tester, Auto and
+  /// PackedParallel the 64-lane delivery on the session's pool.
   ScanTestResult run_scan_test(const std::vector<BitVec>& patterns,
                                const ScanTestOptions& options = {});
 
@@ -127,6 +124,15 @@ class Session {
  private:
   struct BareTag {};
   Session(BareTag, Netlist base, const SessionOptions& options);
+
+  /// The one test-mode delivery behind run_scan_test() and scan-test
+  /// campaigns: picks the scalar tester (Reference, one shard) or the
+  /// 64-lane delivery on `pool`, whose plan is
+  /// test_mode_patterns_per_shard(shard_size); `shard_count` receives it.
+  ScanTestResult deliver_scan_test(const std::vector<BitVec>& patterns,
+                                   Backend backend, std::size_t shard_size,
+                                   ThreadPool& pool, std::size_t& shard_count);
+  friend CampaignResult run(Session&, const CampaignSpec&, const RunHooks&);
 
   SessionOptions options_;
   ProtectionConfig protection_;

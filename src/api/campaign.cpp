@@ -1,10 +1,3 @@
-// The campaign router is the one place that dispatches onto the pre-v1
-// entry points (testbenches, CampaignRunner, apply_* deliveries); calling
-// them here must not trip their deprecation attributes.
-#ifndef RETSCAN_SUPPRESS_DEPRECATED
-#define RETSCAN_SUPPRESS_DEPRECATED
-#endif
-
 #include "retscan/campaign.hpp"
 
 #include <unistd.h>
@@ -19,7 +12,6 @@
 
 #include "atpg/atpg.hpp"
 #include "atpg/fault_models.hpp"
-#include "atpg/scan_test.hpp"
 #include "circuits/fifo.hpp"
 #include "retscan/runtime.hpp"
 #include "retscan/session.hpp"
@@ -48,7 +40,6 @@ const char* to_string(Backend backend) {
   switch (backend) {
     case Backend::Auto:           return "auto";
     case Backend::Reference:      return "reference";
-    case Backend::Packed:         return "packed";
     case Backend::PackedParallel: return "packed-parallel";
   }
   return "?";
@@ -58,14 +49,6 @@ const char* to_string(ValidationTier tier) {
   switch (tier) {
     case ValidationTier::Behavioral: return "behavioral";
     case ValidationTier::Structural: return "structural";
-  }
-  return "?";
-}
-
-const char* to_string(ScanAccess access) {
-  switch (access) {
-    case ScanAccess::TestMode:  return "test-mode";
-    case ScanAccess::FullWidth: return "full-width";
   }
   return "?";
 }
@@ -107,17 +90,12 @@ bool from_string(std::string_view text, CampaignKind& out) {
 
 bool from_string(std::string_view text, Backend& out) {
   return enum_from_string(text, out,
-                          {Backend::Auto, Backend::Reference, Backend::Packed,
-                           Backend::PackedParallel});
+                          {Backend::Auto, Backend::Reference, Backend::PackedParallel});
 }
 
 bool from_string(std::string_view text, ValidationTier& out) {
   return enum_from_string(text, out,
                           {ValidationTier::Behavioral, ValidationTier::Structural});
-}
-
-bool from_string(std::string_view text, ScanAccess& out) {
-  return enum_from_string(text, out, {ScanAccess::TestMode, ScanAccess::FullWidth});
 }
 
 bool from_string(std::string_view text, InjectionMode& out) {
@@ -159,16 +137,9 @@ bool is_pattern_kind(CampaignKind kind) {
          kind == CampaignKind::TransitionDelay || kind == CampaignKind::Bridging;
 }
 
-/// Kinds whose result is a FaultSimResult coverage measurement.
-bool is_coverage_kind(CampaignKind kind) {
-  return kind == CampaignKind::FaultCoverage ||
-         kind == CampaignKind::TransitionDelay || kind == CampaignKind::Bridging ||
-         kind == CampaignKind::SequentialCoverage;
-}
-
-/// The session's geometry + the spec's workload, as the legacy testbenches
-/// expect it. This mapping is what makes Session-routed campaigns
-/// bit-identical to the legacy entry points for the same seed.
+/// The session's geometry + the spec's workload, as the testbenches expect
+/// it. This mapping is what makes Session-routed campaigns bit-identical to
+/// the testbench and runner entry points for the same seed.
 ValidationConfig validation_config(Session& session, const CampaignSpec& spec) {
   ValidationConfig config;
   config.fifo = session.fifo();
@@ -226,13 +197,11 @@ void validate_durability(const CampaignSpec& spec, const Session& session) {
            "fault/pattern set in one pass — split the workload and rerun "
            "instead");
   }
-  if (spec.backend == Backend::Reference || spec.backend == Backend::Packed) {
+  if (spec.backend == Backend::Reference) {
     reject(spec,
-           std::string("checkpoint/resume/deadline_ms need the sharded "
-                       "campaign runner, but Backend::") +
-               (spec.backend == Backend::Reference ? "Reference" : "Packed") +
-               " runs one unsharded pass with nothing to checkpoint between "
-               "— use Backend::PackedParallel or Backend::Auto");
+           "checkpoint/resume/deadline_ms need the sharded campaign runner, "
+           "but Backend::Reference runs one unsharded pass with nothing to "
+           "checkpoint between — use Backend::PackedParallel or Backend::Auto");
   }
   if (!spec.checkpoint.empty()) {
     namespace fs = std::filesystem;
@@ -375,12 +344,6 @@ void validate(const CampaignSpec& spec, const Session& session) {
              "(0x1021); a custom crc_polynomial would silently not be the "
              "one validated — use the default polynomial for validation kinds");
     }
-    if (spec.tier == ValidationTier::Behavioral && spec.backend == Backend::Packed) {
-      reject(spec,
-             "the behavioral tier has no single-thread packed backend (it is "
-             "already word-parallel per trial); use Backend::Reference, "
-             "Backend::PackedParallel or Backend::Auto");
-    }
     if (spec.schedule == Schedule::Event) {
       if (spec.tier == ValidationTier::Behavioral) {
         reject(spec,
@@ -393,8 +356,8 @@ void validate(const CampaignSpec& spec, const Session& session) {
         reject(spec,
                "Backend::Reference is the scalar full-sweep oracle the event "
                "scheduler is checked against, so it always sweeps; use "
-               "Backend::Packed / Backend::PackedParallel for an event-"
-               "scheduled run, or Schedule::Auto to let the backend decide");
+               "Backend::PackedParallel for an event-scheduled run, or "
+               "Schedule::Auto to let the backend decide");
       }
     }
     if (spec.kind == CampaignKind::Injection && spec.mode != InjectionMode::RushModel) {
@@ -451,27 +414,12 @@ void validate(const CampaignSpec& spec, const Session& session) {
                "circuits)");
       }
     }
-    if (spec.kind == CampaignKind::ScanTest) {
-      if (spec.patterns_per_shard == 0) {
-        reject(spec,
-               "patterns_per_shard must be > 0 (it is floored to whole "
-               "64-lane batches, minimum one batch)");
-      }
-      if (spec.access == ScanAccess::FullWidth) {
-        reject(spec,
-               "full-width scan access only applies to plain scanned netlists — "
-               "in a ProtectedDesign the per-chain si ports are superseded by "
-               "the monitor feedback muxes, so responses would mismatch; use "
-               "ScanAccess::TestMode (the Fig. 5(b) tsi/tso concatenation), or "
-               "drive apply_scan_test on a pre-monitor netlist directly");
-      }
-    } else if (is_coverage_kind(spec.kind) && spec.shard_size != 0 &&
-               (spec.backend == Backend::Reference || spec.backend == Backend::Packed)) {
+    if (spec.shard_size != 0 && spec.backend == Backend::Reference) {
       reject(spec,
-             "shard_size only applies to the pooled fault simulator; "
-             "Backend::Reference and Backend::Packed run it on one thread at "
-             "its default shard — drop shard_size or pick "
-             "Backend::PackedParallel");
+             "shard_size only applies to the pooled fault simulator and "
+             "scan-test delivery; Backend::Reference runs coverage on one "
+             "thread at the default shard and delivers scan tests unsharded "
+             "— drop shard_size or pick Backend::PackedParallel");
     }
   }
   if (spec.cycles != 0 && spec.kind != CampaignKind::SequentialCoverage) {
@@ -489,23 +437,30 @@ Backend resolve_backend(const CampaignSpec& spec, const Session& session) {
   return Backend::PackedParallel;
 }
 
+unsigned resolve_threads(const CampaignSpec& spec, const Session& session,
+                         Backend resolved) {
+  if (resolved == Backend::Reference) {
+    return 1;
+  }
+  return spec.threads != 0 ? spec.threads : session.threads();
+}
+
 namespace {
 
 /// Campaign runner honouring the service/thread overrides, strongest
-/// first: an embedding service's shared runner (RunHooks), else the
-/// session's pool when the spec doesn't insist, else a private pool.
-/// Reference and Packed ask for one thread: on the sharded simulators that
-/// is the same code run inline. (Results are thread-count invariant either
-/// way; this is throughput only.)
+/// first: an embedding service's shared runner (RunHooks), else a pool of
+/// resolve_threads() workers — the session's own when the counts agree.
+/// Reference asks for one thread: on the sharded simulators that is the
+/// same code run inline. (Results are thread-count invariant either way;
+/// this is throughput only.)
 parallel::CampaignRunner& select_runner(
     Session& session, const CampaignSpec& spec, Backend backend, const RunHooks& hooks,
     std::unique_ptr<parallel::CampaignRunner>& local) {
-  const bool pooled = backend == Backend::PackedParallel;
-  if (pooled && hooks.runner != nullptr) {
+  if (backend != Backend::Reference && hooks.runner != nullptr) {
     return *hooks.runner;
   }
-  const unsigned threads = pooled ? spec.threads : 1;
-  if (threads == 0 || threads == session.threads()) {
+  const unsigned threads = resolve_threads(spec, session, backend);
+  if (threads == session.threads()) {
     return session.runner();
   }
   parallel::CampaignOptions options;
@@ -539,15 +494,6 @@ void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
       result.shard_count = 1;
       result.shards_completed = 1;
       break;
-    case Backend::Packed: {
-      StructuralTestbench bench(config);
-      result.validation = bench.run_packed(spec.sequences);
-      result.activity = bench.take_telemetry();
-      result.threads = 1;
-      result.shard_count = 1;
-      result.shards_completed = 1;
-      break;
-    }
     case Backend::PackedParallel:
     default: {
       std::unique_ptr<parallel::CampaignRunner> local;
@@ -632,35 +578,6 @@ void run_coverage(Session& session, const CampaignSpec& spec, Backend backend,
   result.shards_completed = result.shard_count;
 }
 
-void run_scan_test_campaign(Session& session, const CampaignSpec& spec,
-                            Backend backend, const RunHooks& hooks,
-                            CampaignResult& result) {
-  if (backend == Backend::PackedParallel) {
-    // Routed directly (not via Session::run_scan_test, which always uses the
-    // session's shared pool) so the spec's threads knob is honored here too.
-    std::unique_ptr<parallel::CampaignRunner> local;
-    parallel::CampaignRunner& runner = select_runner(session, spec, backend, hooks, local);
-    result.scan_test =
-        apply_test_mode_scan_test_packed(session.design(), session.frame(),
-                                         result.atpg.patterns, runner.pool(),
-                                         spec.patterns_per_shard);
-    const std::size_t per_shard =
-        test_mode_patterns_per_shard(spec.patterns_per_shard);
-    result.threads = runner.threads();
-    result.shard_count =
-        (result.atpg.patterns.size() + per_shard - 1) / per_shard;
-  } else {
-    ScanTestOptions delivery;
-    delivery.access = spec.access;
-    delivery.backend = backend;
-    delivery.patterns_per_shard = spec.patterns_per_shard;
-    result.scan_test = session.run_scan_test(result.atpg.patterns, delivery);
-    result.threads = 1;
-    result.shard_count = 1;
-  }
-  result.shards_completed = result.shard_count;
-}
-
 }  // namespace
 
 CampaignResult run(Session& session, const CampaignSpec& spec) {
@@ -684,9 +601,18 @@ CampaignResult run(Session& session, const CampaignSpec& spec,
     case CampaignKind::Injection:
       run_validation(session, spec, backend, hooks, result);
       break;
-    case CampaignKind::ScanTest:
-      run_scan_test_campaign(session, spec, backend, hooks, result);
+    case CampaignKind::ScanTest: {
+      // The same delivery as Session::run_scan_test, on the runner that
+      // honours the spec's threads knob and the service hooks.
+      std::unique_ptr<parallel::CampaignRunner> local;
+      parallel::CampaignRunner& runner = select_runner(session, spec, backend, hooks, local);
+      result.scan_test = session.deliver_scan_test(result.atpg.patterns, backend,
+                                                   spec.shard_size, runner.pool(),
+                                                   result.shard_count);
+      result.threads = runner.threads();
+      result.shards_completed = result.shard_count;
       break;
+    }
     default:
       run_coverage(session, spec, backend, hooks, result);
       break;
@@ -802,7 +728,7 @@ void apply_spec_key(SpecFile& file, const std::string& key, const std::string& v
   else if (key == "protection.test_width")       file.protection.test_width = parse_spec_u64(value, line);
   else if (key == "protection.assignment")       file.protection.assignment = parse_assignment(value, line);
   else if (key == "campaign.kind")               c.kind = parse_spec_enum<CampaignKind>(value, line, "validation, injection, fault-coverage, scan-test, transition-delay, bridging, sequential-coverage");
-  else if (key == "campaign.backend")            c.backend = parse_spec_enum<Backend>(value, line, "auto, reference, packed, packed-parallel");
+  else if (key == "campaign.backend")            c.backend = parse_spec_enum<Backend>(value, line, "auto, reference, packed-parallel");
   else if (key == "campaign.seed")               c.seed = parse_spec_u64(value, line);
   else if (key == "campaign.threads")            c.threads = static_cast<unsigned>(parse_spec_bounded(value, line, 4096, "campaign.threads"));
   else if (key == "campaign.shard_size")         c.shard_size = parse_spec_u64(value, line);
@@ -813,8 +739,6 @@ void apply_spec_key(SpecFile& file, const std::string& key, const std::string& v
   else if (key == "campaign.mode")               c.mode = parse_spec_enum<InjectionMode>(value, line, "none, single-random, multiple-burst, rush-model");
   else if (key == "campaign.burst_size")         c.burst_size = parse_spec_u64(value, line);
   else if (key == "campaign.burst_spread")       c.burst_spread = parse_spec_u64(value, line);
-  else if (key == "campaign.access")             c.access = parse_spec_enum<ScanAccess>(value, line, "test-mode, full-width");
-  else if (key == "campaign.patterns_per_shard") c.patterns_per_shard = parse_spec_u64(value, line);
   else if (key == "campaign.checkpoint" || key == "checkpoint") c.checkpoint = value;
   else if (key == "campaign.resume" || key == "resume")         c.resume = parse_spec_bool(value, line);
   else if (key == "campaign.deadline_ms" || key == "deadline_ms") c.deadline_ms = parse_spec_u64(value, line);

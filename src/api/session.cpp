@@ -1,9 +1,3 @@
-// The Session facade's backends route onto the pre-v1 entry points; calling
-// them here must not trip their deprecation attributes.
-#ifndef RETSCAN_SUPPRESS_DEPRECATED
-#define RETSCAN_SUPPRESS_DEPRECATED
-#endif
-
 #include "retscan/session.hpp"
 
 #include <string>
@@ -191,22 +185,6 @@ ScanTestResult Session::run_scan_test(const std::vector<BitVec>& patterns,
         "patterns through — wrap the netlist in a ProtectionConfig (it needs "
         "flip-flops), or run a fault-coverage campaign instead");
   }
-  if (options.access == ScanAccess::FullWidth) {
-    throw Error(
-        "Session::run_scan_test: full-width scan access only applies to plain "
-        "scanned netlists — in a ProtectedDesign the per-chain si ports are "
-        "superseded by the monitor feedback muxes, so responses would "
-        "mismatch; use ScanAccess::TestMode (the Fig. 5(b) tsi/tso "
-        "concatenation), or drive apply_scan_test on a pre-monitor netlist "
-        "directly");
-  }
-  Backend backend = options.backend;
-  if (backend == Backend::Auto) {
-    backend = Backend::PackedParallel;
-  }
-  RETSCAN_CHECK(options.patterns_per_shard > 0,
-                "Session::run_scan_test: patterns_per_shard must be > 0 (it is "
-                "floored to whole 64-lane batches, minimum one batch)");
   CombinationalFrame& test_frame = frame();
   for (const BitVec& pattern : patterns) {
     if (pattern.size() != test_frame.pattern_width()) {
@@ -218,16 +196,21 @@ ScanTestResult Session::run_scan_test(const std::vector<BitVec>& patterns,
     }
   }
 
-  switch (backend) {
-    case Backend::Reference:
-      return apply_test_mode_scan_test(retention(), design(), test_frame, patterns);
-    case Backend::Packed:
-      return apply_test_mode_scan_test_packed(design(), test_frame, patterns);
-    case Backend::PackedParallel:
-    default:
-      return apply_test_mode_scan_test_packed(design(), test_frame, patterns,
-                                              pool(), options.patterns_per_shard);
+  std::size_t shard_count = 0;
+  return deliver_scan_test(patterns, options.backend, options.shard_size, pool(),
+                           shard_count);
+}
+
+ScanTestResult Session::deliver_scan_test(const std::vector<BitVec>& patterns,
+                                          Backend backend, std::size_t shard_size,
+                                          ThreadPool& pool, std::size_t& shard_count) {
+  if (backend == Backend::Reference) {
+    shard_count = 1;
+    return apply_test_mode_scan_test(retention(), design(), frame(), patterns);
   }
+  const std::size_t per_shard = test_mode_patterns_per_shard(shard_size);
+  shard_count = (patterns.size() + per_shard - 1) / per_shard;
+  return apply_test_mode_scan_test_packed(design(), frame(), patterns, pool, shard_size);
 }
 
 AtpgResult Session::run_atpg(const AtpgOptions& options) {

@@ -245,9 +245,9 @@ ScanTestResult apply_test_mode_scan_test(RetentionSession& session,
 
 namespace {
 
-/// Packed test-mode delivery over patterns [first, first + count): the
-/// shared worker of the serial and pooled variants. Batch loading settles
-/// into per-call state, so concurrent shards can share one frame.
+/// Packed test-mode delivery over patterns [first, first + count): one
+/// shard of the pooled delivery. Batch loading settles into per-call state,
+/// so concurrent shards can share one frame.
 ScanTestResult run_test_mode_packed_range(const ProtectedDesign& design,
                                           const CombinationalFrame& frame,
                                           const std::vector<BitVec>& patterns,
@@ -307,24 +307,17 @@ ScanTestResult run_test_mode_packed_range(const ProtectedDesign& design,
 
 ScanTestResult apply_test_mode_scan_test_packed(const ProtectedDesign& design,
                                                 const CombinationalFrame& frame,
-                                                const std::vector<BitVec>& patterns) {
-  return run_test_mode_packed_range(design, frame, patterns, 0, patterns.size());
-}
-
-ScanTestResult apply_test_mode_scan_test_packed(const ProtectedDesign& design,
-                                                const CombinationalFrame& frame,
                                                 const std::vector<BitVec>& patterns,
                                                 ThreadPool& pool,
-                                                std::size_t patterns_per_shard) {
-  // Shards must be whole 64-lane batches so the pooled pass forms exactly
-  // the same batches as the serial one.
-  patterns_per_shard = test_mode_patterns_per_shard(patterns_per_shard);
-  const std::size_t shard_count =
-      (patterns.size() + patterns_per_shard - 1) / patterns_per_shard;
+                                                std::size_t shard_size) {
+  // Shards are whole 64-lane batches, so every shard plan forms exactly the
+  // same batches.
+  const std::size_t per_shard = test_mode_patterns_per_shard(shard_size);
+  const std::size_t shard_count = (patterns.size() + per_shard - 1) / per_shard;
   std::vector<ScanTestResult> partial(shard_count);
   pool.parallel_for(shard_count, [&](std::size_t s) {
-    const std::size_t first = s * patterns_per_shard;
-    const std::size_t count = std::min(patterns_per_shard, patterns.size() - first);
+    const std::size_t first = s * per_shard;
+    const std::size_t count = std::min(per_shard, patterns.size() - first);
     partial[s] = run_test_mode_packed_range(design, frame, patterns, first, count);
   });
   ScanTestResult merged;

@@ -19,25 +19,22 @@ namespace retscan {
 /// the Section III claim: the monitoring chain configuration, concatenated
 /// per Fig. 5(b), delivers exactly the same manufacturing test.
 ///
-/// The five apply_* overloads below are the pre-v1 delivery entry points;
-/// new code should route through Session::run_scan_test (retscan/session.hpp
-/// and the migration map in retscan/legacy.hpp), which picks among them
-/// from one options struct. They remain supported as the facade's backends;
-/// the attribute below warns external callers unless
-/// RETSCAN_SUPPRESS_DEPRECATED is defined before any retscan include.
-#if defined(RETSCAN_SUPPRESS_DEPRECATED)
-#define RETSCAN_DEPRECATED_DELIVERY
-#else
-#define RETSCAN_DEPRECATED_DELIVERY \
-  [[deprecated("route deliveries through retscan::Session::run_scan_test")]]
-#endif
+/// Session::run_scan_test (retscan/session.hpp) and scan-test campaigns
+/// route onto the two test-mode deliveries below; the full-width overloads
+/// serve plain scanned netlists, which a Session never wraps.
+
+/// Patterns per shard of the pooled test-mode delivery when none is asked.
+inline constexpr std::size_t kTestModeShard = 256;
 
 /// Shard geometry of the pooled test-mode delivery: `requested` patterns
-/// per shard, floored to whole 64-lane batches (minimum one batch). The
-/// pooled delivery and CampaignResult::shard_count both derive their shard
-/// plan from this one function.
+/// per shard (0 → kTestModeShard), floored to whole 64-lane batches
+/// (minimum one batch). The pooled delivery and CampaignResult::shard_count
+/// both derive their shard plan from this one function.
 inline std::size_t test_mode_patterns_per_shard(std::size_t requested) {
   const std::size_t lanes = PackedSim::lane_count();
+  if (requested == 0) {
+    requested = kTestModeShard;
+  }
   return std::max<std::size_t>(lanes, requested / lanes * lanes);
 }
 
@@ -50,7 +47,6 @@ struct ScanTestResult {
 
 /// Apply patterns to a plain scanned design through its per-chain si/so
 /// ports (full-width scan access).
-RETSCAN_DEPRECATED_DELIVERY
 ScanTestResult apply_scan_test(Simulator& sim, const ScanChains& chains,
                                const CombinationalFrame& frame,
                                const std::vector<BitVec>& patterns);
@@ -58,7 +54,6 @@ ScanTestResult apply_scan_test(Simulator& sim, const ScanChains& chains,
 /// 64-way parallel-pattern variant: each PackedSim lane shifts, captures and
 /// checks a different pattern, so a whole 64-pattern batch costs one scan
 /// load plus one capture cycle. This is the coverage-run workhorse.
-RETSCAN_DEPRECATED_DELIVERY
 ScanTestResult apply_scan_test(PackedSim& sim, const ScanChains& chains,
                                const CombinationalFrame& frame,
                                const std::vector<BitVec>& patterns);
@@ -66,29 +61,22 @@ ScanTestResult apply_scan_test(PackedSim& sim, const ScanChains& chains,
 /// Apply patterns to a ProtectedDesign through the narrow manufacturing
 /// test ports tsi/tso with test_mode asserted, exercising the Fig. 5(b)
 /// concatenation muxes. Shift depth is (W/T) * l per load/unload.
-RETSCAN_DEPRECATED_DELIVERY
 ScanTestResult apply_test_mode_scan_test(RetentionSession& session,
                                          const ProtectedDesign& design,
                                          const CombinationalFrame& frame,
                                          const std::vector<BitVec>& patterns);
 
-/// 64-way parallel-pattern test-mode delivery: one lane per pattern through
-/// the same tsi/tso concatenation. Builds its own PackedSim over the design.
-RETSCAN_DEPRECATED_DELIVERY
-ScanTestResult apply_test_mode_scan_test_packed(const ProtectedDesign& design,
-                                                const CombinationalFrame& frame,
-                                                const std::vector<BitVec>& patterns);
-
-/// Multi-threaded 64-lane test-mode delivery: the pattern set is sharded
-/// into 64-lane-aligned chunks across the pool and every shard drives its
-/// own PackedSim over the design (scan loading fully overwrites the state
-/// each batch, so shards are independent and the merged result is
-/// identical to the single-threaded packed pass at any thread count).
-RETSCAN_DEPRECATED_DELIVERY
+/// 64-lane test-mode delivery: one lane per pattern through the same
+/// tsi/tso concatenation. The pattern set is sharded into
+/// test_mode_patterns_per_shard(shard_size) chunks across the pool and every
+/// shard drives its own PackedSim over the design (scan loading fully
+/// overwrites the state each batch, so shards are independent and the
+/// merged result is identical at any thread count; a 1-thread pool is the
+/// serial path).
 ScanTestResult apply_test_mode_scan_test_packed(const ProtectedDesign& design,
                                                 const CombinationalFrame& frame,
                                                 const std::vector<BitVec>& patterns,
                                                 ThreadPool& pool,
-                                                std::size_t patterns_per_shard = 256);
+                                                std::size_t shard_size = 0);
 
 }  // namespace retscan

@@ -32,8 +32,7 @@ class RushCurrentModel {
 
   const RushParameters& params() const { return params_; }
 
-  /// Natural frequency (rad/s) and damping ratio of the RLC loop.
-  double omega0() const { return omega0_; }
+  /// Damping ratio of the RLC loop.
   double damping_ratio() const { return zeta_; }
   bool underdamped() const { return zeta_ < 1.0; }
 

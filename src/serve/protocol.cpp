@@ -222,7 +222,8 @@ void print_summary(std::ostream& out, const ResultSummary& s) {
   // job diffs `^(result|schedule|verdict):` lines between `retscan submit
   // --wait` and a one-shot `retscan run` of the same spec.
   out << "ran:      " << s.kind << " on " << s.backend << ", " << s.threads
-      << " threads x " << s.shard_count << " shards, " << s.seconds << " s\n";
+      << (s.threads == 1 ? " thread x " : " threads x ") << s.shard_count
+      << (s.shard_count == 1 ? " shard, " : " shards, ") << s.seconds << " s\n";
   if (s.shards_resumed != 0) {
     out << "resumed:  " << s.shards_resumed << " of " << s.shard_count
         << " shards merged from " << s.checkpoint << "\n";

@@ -47,10 +47,6 @@ bool PackedSim::net_value(NetId net, std::size_t lane) const {
   return (net_lanes(net) >> lane & 1u) != 0;
 }
 
-LaneWord PackedSim::output_lanes(const std::string& port_name) const {
-  return net_lanes(netlist().output_net(port_name));
-}
-
 LaneWord PackedSim::flop_lanes(CellId flop) const {
   RETSCAN_CHECK(flop < netlist().cell_count() && cell_is_flop(netlist().cell(flop).type),
                 "PackedSim::flop_lanes: not a flop");

@@ -55,8 +55,6 @@ class PackedSim {
   // --- observation --------------------------------------------------------
   LaneWord net_lanes(NetId net) const;
   bool net_value(NetId net, std::size_t lane) const;
-  /// Lane word of a primary output by port name.
-  LaneWord output_lanes(const std::string& port_name) const;
 
   LaneWord flop_lanes(CellId flop) const;
   /// Write a flop's master state (all lanes) WITHOUT re-driving outputs;

@@ -1,13 +1,11 @@
-// The retscan v1 public API: Session/CampaignSpec routing must reproduce
-// every legacy entry point bit-identically for the same seed (the facade is
-// a router, not a reimplementation), spec validation must reject unrunnable
-// campaigns with actionable messages, and the spec-file parser + runtime
-// env helpers must parse strictly.
+// The retscan v2 public API: Session/CampaignSpec routing must reproduce
+// the engine entry point each backend routes onto bit-identically for the
+// same seed (the facade is a router, not a reimplementation), spec
+// validation must reject unrunnable campaigns with actionable messages, and
+// the spec-file parser + runtime env helpers must parse strictly.
 //
 // This TU deliberately includes ONLY the public include/retscan/ surface —
-// it doubles as a compile test that the v1 headers are self-contained.
-
-#define RETSCAN_SUPPRESS_DEPRECATED  // legacy entry points are the oracles here
+// it doubles as a compile test that the v2 headers are self-contained.
 
 #include <cstdio>
 #include <cstdlib>
@@ -74,7 +72,7 @@ std::string error_message(const std::function<void()>& action) {
 
 }  // namespace
 
-// --- Session-routed campaigns vs legacy entry points ------------------------
+// --- Session-routed campaigns vs the engine entry points --------------------
 
 TEST(ApiValidation, BehavioralReferenceMatchesFastTestbench) {
   const std::size_t sequences = 5000;
@@ -86,8 +84,8 @@ TEST(ApiValidation, BehavioralReferenceMatchesFastTestbench) {
   spec.sequences = sequences;
   const CampaignResult result = session.run(spec);
 
-  FastTestbench legacy(paper_config(2024, InjectionMode::SingleRandom));
-  EXPECT_EQ(result.validation, legacy.run(sequences));
+  FastTestbench direct(paper_config(2024, InjectionMode::SingleRandom));
+  EXPECT_EQ(result.validation, direct.run(sequences));
   EXPECT_EQ(result.backend, Backend::Reference);
   EXPECT_EQ(result.threads, 1u);
   EXPECT_TRUE(result.passed());
@@ -110,10 +108,10 @@ TEST(ApiValidation, BehavioralPooledMatchesCampaignRunner) {
   ValidationConfig config = paper_config(99, InjectionMode::MultipleBurst);
   config.burst_size = 4;
   config.burst_spread = 1;
-  const parallel::CampaignReport legacy = runner.run_fast(config, sequences);
-  EXPECT_EQ(result.validation, legacy.stats);
-  EXPECT_EQ(result.shard_count, legacy.shard_count);
-  EXPECT_EQ(result.threads, legacy.threads);
+  const parallel::CampaignReport direct = runner.run_fast(config, sequences);
+  EXPECT_EQ(result.validation, direct.stats);
+  EXPECT_EQ(result.shard_count, direct.shard_count);
+  EXPECT_EQ(result.threads, direct.threads);
 }
 
 TEST(ApiValidation, AutoResolvesToPackedParallelAndMatchesExplicit) {
@@ -158,21 +156,14 @@ TEST(ApiValidation, StructuralBackendsMatchTestbenches) {
   EXPECT_EQ(reference.validation,
             StructuralTestbench(gate_config(seed, InjectionMode::SingleRandom)).run(6));
 
-  spec.backend = Backend::Packed;
-  spec.sequences = 64;
-  const CampaignResult packed = session.run(spec);
-  EXPECT_EQ(packed.validation,
-            StructuralTestbench(gate_config(seed, InjectionMode::SingleRandom))
-                .run_packed(64));
-
   spec.backend = Backend::PackedParallel;
   spec.sequences = 128;
   spec.shard_size = 64;
   const CampaignResult pooled = session.run(spec);
   parallel::CampaignRunner runner;
-  const parallel::CampaignReport legacy = runner.run_structural_packed(
+  const parallel::CampaignReport direct = runner.run_structural_packed(
       gate_config(seed, InjectionMode::SingleRandom), 128, 64);
-  EXPECT_EQ(pooled.validation, legacy.stats);
+  EXPECT_EQ(pooled.validation, direct.stats);
   EXPECT_EQ(pooled.shard_count, 2u);
   EXPECT_TRUE(pooled.passed());
 }
@@ -186,7 +177,8 @@ TEST(ApiValidation, ScheduleIsStatisticsInvariant) {
   CampaignSpec spec;
   spec.kind = CampaignKind::Validation;
   spec.tier = ValidationTier::Structural;
-  spec.backend = Backend::Packed;
+  spec.backend = Backend::PackedParallel;
+  spec.threads = 1;
   spec.seed = 23;
   spec.sequences = 128;
 
@@ -208,12 +200,10 @@ TEST(ApiValidation, ScheduleIsStatisticsInvariant) {
   const CampaignResult probed = session.run(spec);
   EXPECT_EQ(probed.validation, sweep.validation);
 
-  // Pooled at several thread counts: still the same counters, telemetry
-  // merged across shards instead of lost.
-  spec.backend = Backend::PackedParallel;
+  // Smaller shards at several thread counts: still the same counters,
+  // telemetry merged across shards instead of lost.
   spec.shard_size = 64;
   spec.schedule = Schedule::Sweep;
-  spec.threads = 1;
   const CampaignResult pooled_sweep = session.run(spec);
   EXPECT_EQ(pooled_sweep.validation, sweep.validation);
   for (const unsigned threads : {1u, 3u}) {
@@ -225,7 +215,7 @@ TEST(ApiValidation, ScheduleIsStatisticsInvariant) {
   }
 }
 
-TEST(ApiInjection, RushModelMatchesLegacyRunner) {
+TEST(ApiInjection, RushModelMatchesCampaignRunner) {
   RushParameters rush;
   rush.resistance_ohm = 0.2;
   CorruptionParameters corruption;
@@ -250,7 +240,7 @@ TEST(ApiInjection, RushModelMatchesLegacyRunner) {
   EXPECT_TRUE(result.passed());
 }
 
-TEST(ApiFaultCoverage, MatchesLegacyAtpgPlusFaultSim) {
+TEST(ApiFaultCoverage, MatchesDirectAtpgPlusFaultSim) {
   Session session = gate_session();
   CampaignSpec spec;
   spec.kind = CampaignKind::FaultCoverage;
@@ -260,7 +250,7 @@ TEST(ApiFaultCoverage, MatchesLegacyAtpgPlusFaultSim) {
   spec.atpg.max_backtracks = 200;
   const CampaignResult result = session.run(spec);
 
-  // Legacy flow: hand-built frame with the same capture constraints.
+  // Direct flow: hand-built frame with the same capture constraints.
   ProtectionConfig protection;
   protection.kind = CodeKind::HammingPlusCrc;
   protection.chain_count = 8;
@@ -291,7 +281,7 @@ TEST(ApiFaultCoverage, MatchesLegacyAtpgPlusFaultSim) {
   EXPECT_TRUE(result.passed());
 }
 
-TEST(ApiScanTest, AllBackendsMatchLegacyDeliveries) {
+TEST(ApiScanTest, AllBackendsMatchDeliveryKernels) {
   Session session = gate_session();
   AtpgOptions options;
   options.random_patterns = 128;
@@ -302,41 +292,25 @@ TEST(ApiScanTest, AllBackendsMatchLegacyDeliveries) {
   CombinationalFrame& frame = session.frame();
   const ProtectedDesign& design = session.design();
 
-  // Test-mode access, all three backends vs the three legacy entry points.
-  const ScanTestResult reference = session.run_scan_test(
-      atpg.patterns, {.access = ScanAccess::TestMode, .backend = Backend::Reference});
-  RetentionSession legacy_session(design);
-  const ScanTestResult legacy_reference =
-      apply_test_mode_scan_test(legacy_session, design, frame, atpg.patterns);
-  EXPECT_EQ(reference.patterns_applied, legacy_reference.patterns_applied);
-  EXPECT_EQ(reference.mismatches, legacy_reference.mismatches);
+  // Both backends vs the delivery kernels they route onto.
+  const ScanTestResult reference =
+      session.run_scan_test(atpg.patterns, {.backend = Backend::Reference});
+  RetentionSession scalar_session(design);
+  const ScanTestResult scalar =
+      apply_test_mode_scan_test(scalar_session, design, frame, atpg.patterns);
+  EXPECT_EQ(reference.patterns_applied, scalar.patterns_applied);
+  EXPECT_EQ(reference.mismatches, scalar.mismatches);
   EXPECT_TRUE(reference.all_passed());
 
-  const ScanTestResult packed = session.run_scan_test(
-      atpg.patterns, {.access = ScanAccess::TestMode, .backend = Backend::Packed});
-  const ScanTestResult legacy_packed =
-      apply_test_mode_scan_test_packed(design, frame, atpg.patterns);
-  EXPECT_EQ(packed.patterns_applied, legacy_packed.patterns_applied);
-  EXPECT_EQ(packed.mismatches, legacy_packed.mismatches);
-
   const ScanTestResult pooled = session.run_scan_test(
-      atpg.patterns, {.access = ScanAccess::TestMode,
-                      .backend = Backend::PackedParallel,
-                      .patterns_per_shard = 128});
-  const ScanTestResult legacy_pooled = apply_test_mode_scan_test_packed(
-      design, frame, atpg.patterns, session.pool(), 128);
-  EXPECT_EQ(pooled.patterns_applied, legacy_pooled.patterns_applied);
-  EXPECT_EQ(pooled.mismatches, legacy_pooled.mismatches);
+      atpg.patterns, {.backend = Backend::PackedParallel, .shard_size = 128});
+  ThreadPool serial_pool(1);
+  const ScanTestResult packed =
+      apply_test_mode_scan_test_packed(design, frame, atpg.patterns, serial_pool);
+  EXPECT_EQ(pooled.patterns_applied, packed.patterns_applied);
+  EXPECT_EQ(pooled.mismatches, packed.mismatches);
+  EXPECT_EQ(pooled.patterns_applied, reference.patterns_applied);
   EXPECT_TRUE(pooled.all_passed());
-
-  // Full-width si/so access is rejected on protected designs: those ports
-  // are superseded by the monitor feedback muxes, so silently delivering
-  // through them would report phantom mismatches.
-  EXPECT_NE(error_message([&] {
-              session.run_scan_test(atpg.patterns,
-                                    {.access = ScanAccess::FullWidth});
-            }).find("monitor feedback muxes"),
-            std::string::npos);
 }
 
 TEST(ApiScanTest, CampaignKindRunsAtpgAndDelivery) {
@@ -362,6 +336,33 @@ TEST(ApiScanTest, CampaignKindRunsAtpgAndDelivery) {
   EXPECT_EQ(two_threads.scan_test.mismatches, result.scan_test.mismatches);
 }
 
+TEST(ApiScanTest, ShardSizeSetsTheDeliveryShardPlan) {
+  // A deeper FIFO slice (147 flops in 7 chains), so ATPG keeps more
+  // patterns than one 128-pattern shard holds.
+  ProtectionConfig protection;
+  protection.kind = CodeKind::CrcDetect;
+  protection.chain_count = 7;
+  protection.test_width = 1;
+  Session session(FifoSpec{64, 2}, protection);
+  CampaignSpec spec;
+  spec.kind = CampaignKind::ScanTest;
+  spec.seed = 1;
+  spec.atpg.random_patterns = 256;
+  spec.atpg.max_backtracks = 100;
+  spec.shard_size = 128;
+  const CampaignResult result = session.run(spec);
+  const std::size_t patterns = result.atpg.patterns.size();
+  ASSERT_GT(patterns, 128u);
+  EXPECT_EQ(result.shard_count, (patterns + 127) / 128);
+  EXPECT_EQ(result.shards_completed, result.shard_count);
+  EXPECT_EQ(result.scan_test.patterns_applied, patterns);
+  EXPECT_TRUE(result.passed());
+
+  // 0 is the default plan: 256 patterns per shard.
+  spec.shard_size = 0;
+  EXPECT_EQ(session.run(spec).shard_count, (patterns + 255) / 256);
+}
+
 TEST(ApiCampaign, CompleteResultsCompleteEveryShard) {
   // Every kind, on every backend that runs it: a Complete result accounts
   // for its whole shard plan.
@@ -371,7 +372,7 @@ TEST(ApiCampaign, CompleteResultsCompleteEveryShard) {
         CampaignKind::ScanTest, CampaignKind::TransitionDelay, CampaignKind::Bridging,
         CampaignKind::SequentialCoverage}) {
     for (const Backend backend :
-         {Backend::Reference, Backend::Packed, Backend::PackedParallel}) {
+         {Backend::Reference, Backend::PackedParallel}) {
       CampaignSpec spec;
       spec.kind = kind;
       spec.backend = backend;
@@ -409,14 +410,6 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
   EXPECT_NE(error_message([&] { validate(zero, session); }).find("sequences must be > 0"),
             std::string::npos);
 
-  CampaignSpec packed_behavioral;
-  packed_behavioral.kind = CampaignKind::Validation;
-  packed_behavioral.sequences = 10;
-  packed_behavioral.backend = Backend::Packed;
-  EXPECT_NE(error_message([&] { validate(packed_behavioral, session); })
-                .find("behavioral tier"),
-            std::string::npos);
-
   CampaignSpec bad_injection;
   bad_injection.kind = CampaignKind::Injection;
   bad_injection.sequences = 10;
@@ -448,11 +441,11 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
                 .find("SEC-DED"),
             std::string::npos);
 
-  CampaignSpec packed_shard;
-  packed_shard.kind = CampaignKind::FaultCoverage;
-  packed_shard.backend = Backend::Packed;
-  packed_shard.shard_size = 4096;
-  EXPECT_NE(error_message([&] { validate(packed_shard, session); })
+  CampaignSpec reference_shard;
+  reference_shard.kind = CampaignKind::FaultCoverage;
+  reference_shard.backend = Backend::Reference;
+  reference_shard.shard_size = 4096;
+  EXPECT_NE(error_message([&] { validate(reference_shard, session); })
                 .find("shard_size"),
             std::string::npos);
 
@@ -462,13 +455,6 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
   no_patterns.atpg.run_podem = false;
   EXPECT_NE(error_message([&] { validate(no_patterns, session); })
                 .find("empty pattern set"),
-            std::string::npos);
-
-  CampaignSpec full_width;
-  full_width.kind = CampaignKind::ScanTest;
-  full_width.access = ScanAccess::FullWidth;
-  EXPECT_NE(error_message([&] { validate(full_width, session); })
-                .find("monitor feedback muxes"),
             std::string::npos);
 
   // Explicit event scheduling needs a gate-level sweep to schedule:
@@ -659,15 +645,9 @@ TEST(ApiSession, ConstructionRejectsBadGeometry) {
             std::string::npos);
 }
 
-TEST(ApiSession, RunScanTestRejectsBadPatternsAndOptions) {
+TEST(ApiSession, RunScanTestRejectsBadPatterns) {
   Session session = gate_session();
   EXPECT_THROW(session.run_scan_test({BitVec(3)}, {}), Error);
-  ScanTestOptions bad_shard;
-  bad_shard.patterns_per_shard = 0;
-  EXPECT_THROW(session.run_scan_test({}, bad_shard), Error);
-  ScanTestOptions full_width;
-  full_width.access = ScanAccess::FullWidth;
-  EXPECT_THROW(session.run_scan_test({}, full_width), Error);
 }
 
 // --- spec files -------------------------------------------------------------
@@ -742,6 +722,26 @@ TEST(ApiSpecFile, ErrorsNameTheLine) {
             std::string::npos);
 }
 
+TEST(ApiSpecFile, RemovedKeysAndValuesAreRejected) {
+  // The single-thread `packed` backend is gone (packed-parallel at
+  // threads = 1 is the serial packed path) ...
+  const std::string packed = error_message(
+      [] { parse_spec_text("campaign.kind = validation\ncampaign.backend = packed\n"); });
+  EXPECT_NE(packed.find("spec line 2"), std::string::npos) << packed;
+  EXPECT_NE(packed.find("auto, reference, packed-parallel"), std::string::npos) << packed;
+  // ... and so are the scan-test access and shard keys: test-mode is the
+  // only access, and campaign.shard_size shards scan-test deliveries.
+  const std::string access = error_message(
+      [] { parse_spec_text("fifo.depth = 32\n\ncampaign.access = test-mode\n"); });
+  EXPECT_NE(access.find("spec line 3"), std::string::npos) << access;
+  EXPECT_NE(access.find("unknown key 'campaign.access'"), std::string::npos) << access;
+  const std::string shard = error_message(
+      [] { parse_spec_text("campaign.patterns_per_shard = 256\n"); });
+  EXPECT_NE(shard.find("spec line 1"), std::string::npos) << shard;
+  EXPECT_NE(shard.find("unknown key 'campaign.patterns_per_shard'"), std::string::npos)
+      << shard;
+}
+
 TEST(ApiSpecFile, ParseU64IsStrict) {
   EXPECT_EQ(parse_u64("0"), 0u);
   EXPECT_EQ(parse_u64("18446744073709551615"), ~std::uint64_t{0});
@@ -760,8 +760,7 @@ TEST(ApiSpecFile, EnumRoundTrips) {
     EXPECT_TRUE(from_string(to_string(kind), out));
     EXPECT_EQ(out, kind);
   }
-  for (const auto backend : {Backend::Auto, Backend::Reference, Backend::Packed,
-                             Backend::PackedParallel}) {
+  for (const auto backend : {Backend::Auto, Backend::Reference, Backend::PackedParallel}) {
     Backend out{};
     EXPECT_TRUE(from_string(to_string(backend), out));
     EXPECT_EQ(out, backend);
@@ -773,6 +772,7 @@ TEST(ApiSpecFile, EnumRoundTrips) {
   }
   Backend out{};
   EXPECT_FALSE(from_string("warp-drive", out));
+  EXPECT_FALSE(from_string("packed", out));
   Schedule schedule_out{};
   EXPECT_FALSE(from_string("lazy", schedule_out));
 }
@@ -858,5 +858,5 @@ TEST(ApiVersion, ConstantsAgree) {
   EXPECT_STREQ(version_string(), RETSCAN_VERSION_STRING);
   EXPECT_EQ(RETSCAN_VERSION_NUMBER,
             kVersionMajor * 10000 + kVersionMinor * 100 + kVersionPatch);
-  EXPECT_EQ(kVersionMajor, 1);
+  EXPECT_EQ(kVersionMajor, 2);
 }

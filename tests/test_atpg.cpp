@@ -1,8 +1,3 @@
-// This file deliberately exercises the pre-v1 delivery entry points
-// (they are the backends the Session facade routes onto), so the
-// deprecation attributes are suppressed here.
-#define RETSCAN_SUPPRESS_DEPRECATED
-
 #include "atpg/atpg.hpp"
 
 #include <gtest/gtest.h>

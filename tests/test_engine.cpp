@@ -1,8 +1,3 @@
-// This file deliberately exercises the pre-v1 delivery entry points
-// (they are the backends the Session facade routes onto), so the
-// deprecation attributes are suppressed here.
-#define RETSCAN_SUPPRESS_DEPRECATED
-
 // Cross-checks of the bit-parallel SimEngine facades: PackedSim lane 0 must
 // match the scalar Simulator bit-exactly over randomized netlists (including
 // power cycles and retention corruption), lanes must be fully independent,
@@ -384,8 +379,9 @@ TEST(PackedScanTest, MatchesScalarTestModeDelivery) {
   RetentionSession session(design);
   const ScanTestResult scalar =
       apply_test_mode_scan_test(session, design, frame, patterns);
+  ThreadPool serial_pool(1);
   const ScanTestResult packed =
-      apply_test_mode_scan_test_packed(design, frame, patterns);
+      apply_test_mode_scan_test_packed(design, frame, patterns, serial_pool);
   EXPECT_EQ(packed.patterns_applied, scalar.patterns_applied);
   EXPECT_EQ(packed.mismatches, scalar.mismatches);
   EXPECT_TRUE(scalar.all_passed());

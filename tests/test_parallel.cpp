@@ -1,8 +1,3 @@
-// This file deliberately exercises the pre-v1 delivery entry points
-// (they are the backends the Session facade routes onto), so the
-// deprecation attributes are suppressed here.
-#define RETSCAN_SUPPRESS_DEPRECATED
-
 // The retscan::parallel orchestration layer: work-stealing ThreadPool
 // semantics (completion, exception propagation, clean shutdown),
 // deterministic shard planning/seeding, and — the load-bearing contract —
@@ -356,7 +351,7 @@ TEST(FaultSimParallel, ShardMergeMatchesSerialFaultCoverage) {
   EXPECT_GT(serial.detected, 0u);
 }
 
-TEST(ScanTestParallel, PooledDeliveryMatchesSerialPacked) {
+TEST(ScanTestParallel, PooledDeliveryMatchesOneThreadPool) {
   FrameFixture fixture;
   Rng rng(11);
   std::vector<BitVec> patterns;
@@ -364,8 +359,9 @@ TEST(ScanTestParallel, PooledDeliveryMatchesSerialPacked) {
     patterns.push_back(fixture.frame.random_pattern(rng));
   }
 
-  const ScanTestResult serial =
-      apply_test_mode_scan_test_packed(fixture.design, fixture.frame, patterns);
+  ThreadPool serial_pool(1);
+  const ScanTestResult serial = apply_test_mode_scan_test_packed(
+      fixture.design, fixture.frame, patterns, serial_pool, 64);
   ThreadPool pool(4);
   const ScanTestResult pooled = apply_test_mode_scan_test_packed(
       fixture.design, fixture.frame, patterns, pool, 64);

@@ -1,5 +1,6 @@
 // Tests for the supporting tool layer: VCD writer, netlist linter,
-// pattern I/O, and the recovery cost analyzer.
+// pattern I/O, the recovery cost analyzer, and the run plan the `retscan`
+// CLI prints.
 
 #include <gtest/gtest.h>
 
@@ -12,6 +13,8 @@
 #include "core/protected_design.hpp"
 #include "netlist/lint.hpp"
 #include "power/recovery.hpp"
+#include "retscan/campaign.hpp"
+#include "retscan/session.hpp"
 #include "sim/vcd.hpp"
 #include "util/error.hpp"
 
@@ -176,6 +179,28 @@ TEST(Recovery, LatencyScalesWithIsrAndBus) {
   const RecoveryCosts f = a_fast.software_recovery(1040, 13, 0.65, 6000.0, 120000.0);
   const RecoveryCosts s = a_slow.software_recovery(1040, 13, 0.65, 6000.0, 120000.0);
   EXPECT_LT(f.total_latency_ns, s.total_latency_ns);
+}
+
+// `retscan describe examples/coverage.spec --backend reference` must report
+// the thread count the run then uses: one for Reference, whatever the
+// session's pool.
+TEST(RunPlan, ReportedThreadsMatchTheRun) {
+  SpecFile file = load_spec_file(RETSCAN_CIRCUITS_DIR "/../../examples/coverage.spec");
+  file.campaign.threads = 4;
+  file.campaign.backend = Backend::Reference;
+  Session session = make_session(file);
+  const Backend reference = resolve_backend(file.campaign, session);
+  EXPECT_EQ(resolve_threads(file.campaign, session, reference), 1u);
+  EXPECT_EQ(session.run(file.campaign).threads, 1u);
+
+  file.campaign.backend = Backend::Auto;
+  const Backend pooled = resolve_backend(file.campaign, session);
+  EXPECT_EQ(resolve_threads(file.campaign, session, pooled), 4u);
+  EXPECT_EQ(session.run(file.campaign).threads, 4u);
+
+  // threads = 0 defers to the session's pool.
+  file.campaign.threads = 0;
+  EXPECT_EQ(resolve_threads(file.campaign, session, pooled), session.threads());
 }
 
 }  // namespace

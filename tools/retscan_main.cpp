@@ -49,7 +49,7 @@ std::uint64_t parse_override_u64(const std::string& flag, const std::string& val
 
 int usage(std::ostream& out, int status) {
   out << "usage: retscan run <campaign.spec> [--seed N] [--threads N]\n"
-         "                   [--sequences N] [--backend auto|reference|packed|"
+         "                   [--sequences N] [--backend auto|reference|"
          "packed-parallel]\n"
          "                   [--schedule auto|sweep|event]\n"
          "                   [--checkpoint PATH] [--resume] [--deadline-ms N]\n"
@@ -119,7 +119,7 @@ void print_plan(std::ostream& out, const SpecFile& file, const Netlist* base,
   if (c.backend == Backend::Auto) {
     out << " -> " << to_string(resolved);
   }
-  out << ", " << threads << " threads\n";
+  out << ", " << threads << (threads == 1 ? " thread\n" : " threads\n");
   if (c.kind == CampaignKind::Validation || c.kind == CampaignKind::Injection) {
     out << "workload: " << c.sequences << " sequences, tier " << to_string(c.tier)
         << ", mode " << to_string(c.mode) << ", schedule " << to_string(c.schedule)
@@ -130,9 +130,6 @@ void print_plan(std::ostream& out, const SpecFile& file, const Netlist* base,
   } else {
     out << "workload: atpg " << c.atpg.random_patterns << " random patterns, podem "
         << (c.atpg.run_podem ? "on" : "off");
-    if (c.kind == CampaignKind::ScanTest) {
-      out << ", access " << to_string(c.access);
-    }
     if (c.kind == CampaignKind::TransitionDelay) {
       out << ", launch/capture pairs";
     }
@@ -154,7 +151,8 @@ void print_plan(std::ostream& out, const SpecFile& file, const Netlist* base,
 void print_result(std::ostream& out, const CampaignResult& r,
                   const CampaignSpec& spec) {
   out << "ran:      " << to_string(r.kind) << " on " << to_string(r.backend) << ", "
-      << r.threads << " threads x " << r.shard_count << " shards, " << r.seconds
+      << r.threads << (r.threads == 1 ? " thread x " : " threads x ") << r.shard_count
+      << (r.shard_count == 1 ? " shard, " : " shards, ") << r.seconds
       << " s\n";
   if (r.shards_resumed != 0) {
     out << "resumed:  " << r.shards_resumed << " of " << r.shard_count
@@ -250,7 +248,8 @@ int run_command(const std::string& command, int argc, char** argv) {
       file.campaign.sequences = parse_override_u64(flag, value);
     } else if (flag == "--backend") {
       if (!from_string(value, file.campaign.backend)) {
-        std::cerr << "retscan: unknown backend '" << value << "'\n";
+        std::cerr << "retscan: unknown backend '" << value
+                  << "' (want auto, reference or packed-parallel)\n";
         return 2;
       }
     } else if (flag == "--schedule") {
@@ -289,7 +288,7 @@ int run_command(const std::string& command, int argc, char** argv) {
     print_build_info(std::cout);
   }
   print_plan(std::cout, file, base ? &*base : nullptr, session.is_protected(),
-             resolved, session.threads());
+             resolved, resolve_threads(file.campaign, session, resolved));
   if (command == "describe") {
     std::cout << "spec OK (describe only, nothing run)\n";
     return 0;
