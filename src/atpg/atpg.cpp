@@ -1,6 +1,8 @@
 #include "atpg/atpg.hpp"
 
-#include <limits>
+#include <utility>
+
+#include "util/thread_pool.hpp"
 
 namespace retscan {
 
@@ -10,37 +12,32 @@ AtpgResult run_atpg(const CombinationalFrame& frame, const std::vector<Fault>& f
   result.total_faults = faults.size();
   Rng rng(options.seed);
 
+  // --- Phase 1: random patterns, graded once by the fault simulator (a
+  // 1-thread pool is the serial path). A fault's first detecting pattern
+  // does not depend on how the patterns are batched; the patterns that
+  // first-detect some fault are kept in draw order (reverse compaction).
+  std::vector<BitVec> random;
+  random.reserve(options.random_patterns);
+  for (std::size_t i = 0; i < options.random_patterns; ++i) {
+    random.push_back(frame.random_pattern(rng));
+  }
+  ThreadPool serial(1);
+  const FaultSimResult graded = fault_simulate(frame, faults, random, serial);
   std::vector<bool> detected(faults.size(), false);
-  std::size_t remaining = faults.size();
-
-  // --- Phase 1: random patterns, 64 at a time, with fault dropping.
-  for (std::size_t base = 0; base < options.random_patterns && remaining > 0; base += 64) {
-    const std::size_t count = std::min<std::size_t>(64, options.random_patterns - base);
-    std::vector<BitVec> batch;
-    batch.reserve(count);
-    for (std::size_t i = 0; i < count; ++i) {
-      batch.push_back(frame.random_pattern(rng));
-    }
-    const CombinationalFrame::LoadedPatternBatch loaded = frame.load_batch(batch);
-    std::uint64_t useful = 0;  // patterns that detected something new
-    for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (detected[fi]) {
-        continue;
-      }
-      const std::uint64_t mask = frame.detect_mask(faults[fi], loaded, loaded.good);
-      if (mask != 0) {
-        detected[fi] = true;
-        ++result.detected_random;
-        --remaining;
-        useful |= mask & (~mask + 1);  // credit the first detecting pattern
-      }
-    }
-    for (std::size_t i = 0; i < count; ++i) {
-      if ((useful >> i) & 1u) {
-        result.patterns.push_back(batch[i]);
-      }
+  std::vector<bool> useful(random.size(), false);
+  for (std::size_t fi = 0; fi < faults.size(); ++fi) {
+    if (graded.detected_by[fi] != FaultSimResult::npos) {
+      detected[fi] = true;
+      useful[graded.detected_by[fi]] = true;
     }
   }
+  for (std::size_t i = 0; i < random.size(); ++i) {
+    if (useful[i]) {
+      result.patterns.push_back(std::move(random[i]));
+    }
+  }
+  result.detected_random = graded.detected;
+  std::size_t remaining = faults.size() - graded.detected;
 
   // --- Phase 2: PODEM top-up.
   if (options.run_podem && remaining > 0) {

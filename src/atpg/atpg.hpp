@@ -45,9 +45,9 @@ struct AtpgResult {
 };
 
 /// Two-phase ATPG over the combinational frame of a (scan) design:
-/// 1. Random phase: batches of 64 random patterns, parallel fault
-///    simulation with fault dropping; patterns that detect nothing new are
-///    discarded (reverse compaction).
+/// 1. Random phase: all `random_patterns` are drawn, then graded once by
+///    fault_simulate with fault dropping; only patterns that are some
+///    fault's first detection are kept, in draw order (reverse compaction).
 /// 2. Deterministic phase: PODEM on each remaining fault, in fault order,
 ///    with one Podem instance for the whole phase. Implication is
 ///    incremental over the compiled stream (only a changed input's fanout

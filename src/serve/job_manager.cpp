@@ -15,15 +15,6 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-JobState state_for(CampaignStatus status) {
-  switch (status) {
-    case CampaignStatus::Complete:  return JobState::Done;
-    case CampaignStatus::Cancelled: return JobState::Cancelled;
-    case CampaignStatus::Timeout:   return JobState::Timeout;
-  }
-  return JobState::Failed;
-}
-
 }  // namespace
 
 Json to_json(const JobRecord& record) {

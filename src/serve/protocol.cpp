@@ -84,38 +84,60 @@ ResultSummary summarize(const CampaignResult& result, const CampaignSpec& spec) 
   return s;
 }
 
+namespace {
+
+/// One u64 counter of ResultSummary: its wire key, and whether it bears
+/// statistics (enters summary_digest). Table order is digest order.
+struct Counter {
+  const char* key;
+  std::uint64_t ResultSummary::*member;
+  bool in_digest;
+};
+
+constexpr Counter kCounters[] = {
+    {"threads", &ResultSummary::threads, false},
+    {"shard_count", &ResultSummary::shard_count, true},
+    {"shards_completed", &ResultSummary::shards_completed, true},
+    {"shards_resumed", &ResultSummary::shards_resumed, false},
+    {"sequences", &ResultSummary::sequences, true},
+    {"errors_injected", &ResultSummary::errors_injected, true},
+    {"sequences_with_errors", &ResultSummary::sequences_with_errors, true},
+    {"detected", &ResultSummary::detected, true},
+    {"corrected", &ResultSummary::corrected, true},
+    {"flagged_uncorrectable", &ResultSummary::flagged_uncorrectable, true},
+    {"comparator_mismatches", &ResultSummary::comparator_mismatches, true},
+    {"silent_corruptions", &ResultSummary::silent_corruptions, true},
+    {"atpg_patterns", &ResultSummary::atpg_patterns, true},
+    {"atpg_total_faults", &ResultSummary::atpg_total_faults, true},
+    {"atpg_detected_random", &ResultSummary::atpg_detected_random, true},
+    {"atpg_detected_podem", &ResultSummary::atpg_detected_podem, true},
+    {"atpg_untestable", &ResultSummary::atpg_untestable, true},
+    {"atpg_aborted", &ResultSummary::atpg_aborted, true},
+    {"faults_total", &ResultSummary::faults_total, true},
+    {"faults_detected", &ResultSummary::faults_detected, true},
+    {"scan_patterns_applied", &ResultSummary::scan_patterns_applied, true},
+    {"scan_mismatches", &ResultSummary::scan_mismatches, true},
+    {"event_sweeps", &ResultSummary::event_sweeps, true},
+    {"full_sweeps", &ResultSummary::full_sweeps, true},
+    {"full_sweep_fallbacks", &ResultSummary::full_sweep_fallbacks, true},
+    {"event_instrs", &ResultSummary::event_instrs, true},
+    {"sweep_instrs", &ResultSummary::sweep_instrs, true},
+    {"instr_capacity", &ResultSummary::instr_capacity, true},
+};
+
+}  // namespace
+
 std::uint64_t summary_digest(const ResultSummary& s) {
   Fnv1a digest;
   digest.add_text(s.kind);
   digest.add_text(s.schedule);
   digest.add_text(s.status);
   digest.add(s.passed ? 1 : 0);
-  digest.add(s.shard_count);
-  digest.add(s.shards_completed);
-  digest.add(s.sequences);
-  digest.add(s.errors_injected);
-  digest.add(s.sequences_with_errors);
-  digest.add(s.detected);
-  digest.add(s.corrected);
-  digest.add(s.flagged_uncorrectable);
-  digest.add(s.comparator_mismatches);
-  digest.add(s.silent_corruptions);
-  digest.add(s.atpg_patterns);
-  digest.add(s.atpg_total_faults);
-  digest.add(s.atpg_detected_random);
-  digest.add(s.atpg_detected_podem);
-  digest.add(s.atpg_untestable);
-  digest.add(s.atpg_aborted);
-  digest.add(s.faults_total);
-  digest.add(s.faults_detected);
-  digest.add(s.scan_patterns_applied);
-  digest.add(s.scan_mismatches);
-  digest.add(s.event_sweeps);
-  digest.add(s.full_sweeps);
-  digest.add(s.full_sweep_fallbacks);
-  digest.add(s.event_instrs);
-  digest.add(s.sweep_instrs);
-  digest.add(s.instr_capacity);
+  for (const Counter& counter : kCounters) {
+    if (counter.in_digest) {
+      digest.add(s.*counter.member);
+    }
+  }
   return digest.hash;
 }
 
@@ -125,38 +147,13 @@ Json to_json(const ResultSummary& s) {
       .set("backend", s.backend)
       .set("schedule", s.schedule)
       .set("status", s.status)
-      .set("threads", s.threads)
-      .set("shard_count", s.shard_count)
-      .set("shards_completed", s.shards_completed)
-      .set("shards_resumed", s.shards_resumed)
       .set("seconds", s.seconds)
       .set("checkpoint", s.checkpoint)
-      .set("passed", s.passed)
-      .set("sequences", s.sequences)
-      .set("errors_injected", s.errors_injected)
-      .set("sequences_with_errors", s.sequences_with_errors)
-      .set("detected", s.detected)
-      .set("corrected", s.corrected)
-      .set("flagged_uncorrectable", s.flagged_uncorrectable)
-      .set("comparator_mismatches", s.comparator_mismatches)
-      .set("silent_corruptions", s.silent_corruptions)
-      .set("atpg_patterns", s.atpg_patterns)
-      .set("atpg_total_faults", s.atpg_total_faults)
-      .set("atpg_detected_random", s.atpg_detected_random)
-      .set("atpg_detected_podem", s.atpg_detected_podem)
-      .set("atpg_untestable", s.atpg_untestable)
-      .set("atpg_aborted", s.atpg_aborted)
-      .set("faults_total", s.faults_total)
-      .set("faults_detected", s.faults_detected)
-      .set("scan_patterns_applied", s.scan_patterns_applied)
-      .set("scan_mismatches", s.scan_mismatches)
-      .set("event_sweeps", s.event_sweeps)
-      .set("full_sweeps", s.full_sweeps)
-      .set("full_sweep_fallbacks", s.full_sweep_fallbacks)
-      .set("event_instrs", s.event_instrs)
-      .set("sweep_instrs", s.sweep_instrs)
-      .set("instr_capacity", s.instr_capacity)
-      .set("digest", summary_digest(s));
+      .set("passed", s.passed);
+  for (const Counter& counter : kCounters) {
+    json.set(counter.key, s.*counter.member);
+  }
+  json.set("digest", summary_digest(s));
   return json;
 }
 
@@ -166,37 +163,12 @@ ResultSummary summary_from_json(const Json& json) {
   s.backend = json.at("backend").as_string();
   s.schedule = json.at("schedule").as_string();
   s.status = json.at("status").as_string();
-  s.threads = json.at("threads").as_u64();
-  s.shard_count = json.at("shard_count").as_u64();
-  s.shards_completed = json.at("shards_completed").as_u64();
-  s.shards_resumed = json.at("shards_resumed").as_u64();
   s.seconds = json.at("seconds").as_double();
   s.checkpoint = json.at("checkpoint").as_string();
   s.passed = json.at("passed").as_bool();
-  s.sequences = json.at("sequences").as_u64();
-  s.errors_injected = json.at("errors_injected").as_u64();
-  s.sequences_with_errors = json.at("sequences_with_errors").as_u64();
-  s.detected = json.at("detected").as_u64();
-  s.corrected = json.at("corrected").as_u64();
-  s.flagged_uncorrectable = json.at("flagged_uncorrectable").as_u64();
-  s.comparator_mismatches = json.at("comparator_mismatches").as_u64();
-  s.silent_corruptions = json.at("silent_corruptions").as_u64();
-  s.atpg_patterns = json.at("atpg_patterns").as_u64();
-  s.atpg_total_faults = json.at("atpg_total_faults").as_u64();
-  s.atpg_detected_random = json.at("atpg_detected_random").as_u64();
-  s.atpg_detected_podem = json.at("atpg_detected_podem").as_u64();
-  s.atpg_untestable = json.at("atpg_untestable").as_u64();
-  s.atpg_aborted = json.at("atpg_aborted").as_u64();
-  s.faults_total = json.at("faults_total").as_u64();
-  s.faults_detected = json.at("faults_detected").as_u64();
-  s.scan_patterns_applied = json.at("scan_patterns_applied").as_u64();
-  s.scan_mismatches = json.at("scan_mismatches").as_u64();
-  s.event_sweeps = json.at("event_sweeps").as_u64();
-  s.full_sweeps = json.at("full_sweeps").as_u64();
-  s.full_sweep_fallbacks = json.at("full_sweep_fallbacks").as_u64();
-  s.event_instrs = json.at("event_instrs").as_u64();
-  s.sweep_instrs = json.at("sweep_instrs").as_u64();
-  s.instr_capacity = json.at("instr_capacity").as_u64();
+  for (const Counter& counter : kCounters) {
+    s.*counter.member = json.at(counter.key).as_u64();
+  }
   // The shipped digest is advisory (recomputable); verify when present so
   // a corrupted relay is caught at the protocol layer.
   if (const Json* digest = json.find("digest")) {
@@ -215,12 +187,20 @@ double ratio(std::uint64_t numerator, std::uint64_t denominator) {
                                 static_cast<double>(denominator);
 }
 
+/// ATPG coverage over testable faults (AtpgResult::coverage).
+double atpg_coverage(const ResultSummary& s) {
+  return ratio(s.atpg_detected_random + s.atpg_detected_podem,
+               s.atpg_total_faults - s.atpg_untestable);
+}
+
+void print_fault_counts(std::ostream& out, const ResultSummary& s) {
+  out << 100.0 * ratio(s.faults_detected, s.faults_total) << "% ("
+      << s.faults_detected << "/" << s.faults_total << " faults)\n";
+}
+
 }  // namespace
 
 void print_summary(std::ostream& out, const ResultSummary& s) {
-  // Byte-compatible with tools/retscan_main.cpp print_result: the serve CI
-  // job diffs `^(result|schedule|verdict):` lines between `retscan submit
-  // --wait` and a one-shot `retscan run` of the same spec.
   out << "ran:      " << s.kind << " on " << s.backend << ", " << s.threads
       << (s.threads == 1 ? " thread x " : " threads x ") << s.shard_count
       << (s.shard_count == 1 ? " shard, " : " shards, ") << s.seconds << " s\n";
@@ -229,6 +209,8 @@ void print_summary(std::ostream& out, const ResultSummary& s) {
         << " shards merged from " << s.checkpoint << "\n";
   }
   if (s.status != "complete") {
+    // Interrupted: the statistics below are partial (completed shards
+    // only) — still exact for those shards, and checkpointed if armed.
     out << "status:   " << s.status << " after " << s.shards_completed
         << " of " << s.shard_count << " shards";
     if (!s.checkpoint.empty()) {
@@ -237,9 +219,10 @@ void print_summary(std::ostream& out, const ResultSummary& s) {
     }
     out << "\n";
   }
+  out << "result:   ";
   if (s.kind == "validation" || s.kind == "injection") {
-    out << "result:   " << s.sequences << " sequences, "
-        << s.sequences_with_errors << " with errors, detection "
+    out << s.sequences << " sequences, " << s.sequences_with_errors
+        << " with errors, detection "
         << 100.0 * ratio(s.detected, s.sequences_with_errors)
         << "%, correction "
         << 100.0 * ratio(s.corrected, s.sequences_with_errors) << "%\n"
@@ -257,24 +240,27 @@ void print_summary(std::ostream& out, const ResultSummary& s) {
           << "fraction " << dirty << "\n";
     }
   } else if (s.kind == "fault-coverage") {
-    const std::uint64_t testable = s.atpg_total_faults - s.atpg_untestable;
-    out << "result:   " << s.atpg_patterns << " patterns, coverage "
-        << 100.0 * ratio(s.atpg_detected_random + s.atpg_detected_podem,
-                         testable)
+    out << s.atpg_patterns << " patterns, coverage " << 100.0 * atpg_coverage(s)
         << "% (" << s.faults_detected << "/" << s.faults_total
-        << " faults via fault-sim)\n";
-  } else if (s.kind == "transition-delay" || s.kind == "bridging" ||
-             s.kind == "sequential-coverage") {
-    out << "result:   " << s.kind << " coverage "
-        << 100.0 * ratio(s.faults_detected, s.faults_total) << "% ("
-        << s.faults_detected << "/" << s.faults_total << " faults)\n";
+        << " faults via fault-sim, " << s.atpg_untestable << " untestable, "
+        << s.atpg_aborted << " aborted)\n";
+  } else if (s.kind == "transition-delay") {
+    out << s.atpg_patterns << " patterns ("
+        << (s.atpg_patterns == 0 ? 0 : s.atpg_patterns - 1)
+        << " launch/capture pairs), transition coverage ";
+    print_fault_counts(out, s);
+  } else if (s.kind == "bridging") {
+    out << s.atpg_patterns << " patterns, bridging coverage ";
+    print_fault_counts(out, s);
+  } else if (s.kind == "sequential-coverage") {
+    // Sequence and cycle counts are on `run`'s `workload:` plan line.
+    out << "sequential coverage ";
+    print_fault_counts(out, s);
   } else {
-    const std::uint64_t testable = s.atpg_total_faults - s.atpg_untestable;
-    out << "result:   " << s.scan_patterns_applied << " patterns delivered, "
+    out << s.scan_patterns_applied << " patterns delivered, "
         << s.scan_mismatches << " mismatches (coverage "
-        << 100.0 * ratio(s.atpg_detected_random + s.atpg_detected_podem,
-                         testable)
-        << "%)\n";
+        << 100.0 * atpg_coverage(s) << "%, " << s.atpg_untestable
+        << " untestable, " << s.atpg_aborted << " aborted)\n";
   }
   out << "verdict:  " << (s.passed ? "PASS" : "FAIL") << "\n";
 }
@@ -309,28 +295,103 @@ SubmitOverrides overrides_from_json(const Json& json) {
   return overrides;
 }
 
+namespace {
+
+constexpr std::uint64_t kMaxThreads = 4096;
+
+std::string out_of_range(const std::string& flag, const std::string& value,
+                         std::uint64_t max) {
+  return flag + " = " + value + " is out of range (max " + std::to_string(max) + ")";
+}
+
+Backend checked_backend(const std::string& name) {
+  Backend backend = Backend::Auto;
+  if (!from_string(name, backend)) {
+    throw Error("unknown backend '" + name +
+                "' (want auto, reference or packed-parallel)");
+  }
+  return backend;
+}
+
+Schedule checked_schedule(const std::string& name) {
+  Schedule schedule = Schedule::Auto;
+  if (!from_string(name, schedule)) {
+    throw Error("unknown schedule '" + name + "' (want auto, sweep or event)");
+  }
+  return schedule;
+}
+
+}  // namespace
+
+std::uint64_t parse_flag_u64(const std::string& flag, const std::string& value,
+                             std::uint64_t max) {
+  const std::optional<std::uint64_t> parsed = parse_u64(value);
+  if (!parsed) {
+    throw Error(flag + " needs a non-negative integer, got '" + value + "'");
+  }
+  if (*parsed > max) {
+    throw Error(out_of_range(flag, value, max));
+  }
+  return *parsed;
+}
+
+SubmitOverrides parse_overrides(const std::vector<std::string>& args) {
+  SubmitOverrides overrides;
+  for (std::size_t i = 0; i < args.size(); ++i) {
+    const std::string& flag = args[i];
+    if (flag == "--resume") {
+      overrides.resume = true;
+      continue;
+    }
+    // The flag's operand; consumed on first use.
+    const auto value = [&]() -> const std::string& {
+      if (i + 1 >= args.size()) {
+        throw Error(flag + " needs a value");
+      }
+      return args[++i];
+    };
+    if (flag == "--seed") {
+      overrides.seed = parse_flag_u64(flag, value());
+    } else if (flag == "--threads") {
+      overrides.threads = parse_flag_u64(flag, value(), kMaxThreads);
+    } else if (flag == "--sequences") {
+      overrides.sequences = parse_flag_u64(flag, value());
+    } else if (flag == "--backend") {
+      overrides.backend = value();
+      checked_backend(*overrides.backend);
+    } else if (flag == "--schedule") {
+      overrides.schedule = value();
+      checked_schedule(*overrides.schedule);
+    } else if (flag == "--checkpoint") {
+      overrides.checkpoint = value();
+    } else if (flag == "--deadline-ms") {
+      overrides.deadline_ms = parse_flag_u64(flag, value());
+    } else {
+      throw Error("unknown flag '" + flag + "'");
+    }
+  }
+  return overrides;
+}
+
 void apply_overrides(SpecFile& file, const SubmitOverrides& overrides) {
   if (overrides.seed) {
     file.campaign.seed = *overrides.seed;
   }
   if (overrides.threads) {
-    if (*overrides.threads > 4096) {
-      throw Error("--threads = " + std::to_string(*overrides.threads) +
-                  " is out of range (max 4096)");
+    if (*overrides.threads > kMaxThreads) {
+      throw Error(out_of_range("--threads", std::to_string(*overrides.threads),
+                               kMaxThreads));
     }
     file.campaign.threads = static_cast<unsigned>(*overrides.threads);
   }
   if (overrides.sequences) {
     file.campaign.sequences = *overrides.sequences;
   }
-  if (overrides.backend &&
-      !from_string(*overrides.backend, file.campaign.backend)) {
-    throw Error("unknown backend '" + *overrides.backend + "'");
+  if (overrides.backend) {
+    file.campaign.backend = checked_backend(*overrides.backend);
   }
-  if (overrides.schedule &&
-      !from_string(*overrides.schedule, file.campaign.schedule)) {
-    throw Error("unknown schedule '" + *overrides.schedule +
-                "' (want auto, sweep or event)");
+  if (overrides.schedule) {
+    file.campaign.schedule = checked_schedule(*overrides.schedule);
   }
   if (overrides.checkpoint) {
     file.campaign.checkpoint = *overrides.checkpoint;
@@ -343,12 +404,21 @@ void apply_overrides(SpecFile& file, const SubmitOverrides& overrides) {
   }
 }
 
+JobState state_for(CampaignStatus status) {
+  switch (status) {
+    case CampaignStatus::Complete:  return JobState::Done;
+    case CampaignStatus::Cancelled: return JobState::Cancelled;
+    case CampaignStatus::Timeout:   return JobState::Timeout;
+  }
+  return JobState::Failed;
+}
+
 int exit_code_for(JobState state, const ResultSummary* summary) {
   switch (state) {
     case JobState::Done:
       return summary != nullptr && summary->passed ? 0 : 1;
     case JobState::Cancelled:
-      return 130;
+      return 130;  // 128 + SIGINT, the shell convention for "interrupted"
     case JobState::Timeout:
       return 3;
     case JobState::Failed:

@@ -22,6 +22,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "retscan/campaign.hpp"
 #include "serve/json.hpp"
@@ -110,11 +111,11 @@ std::uint64_t summary_digest(const ResultSummary& summary);
 Json to_json(const ResultSummary& summary);
 ResultSummary summary_from_json(const Json& json);
 
-/// The exact `ran:`/`resumed:`/`status:`/`result:`/`schedule:`/`verdict:`
-/// block `retscan run` prints (tools/retscan_main.cpp print_result), so
-/// `retscan submit --wait` output diffs cleanly against a one-shot run —
-/// the serve CI job greps `^(result|schedule|verdict):` from both and
-/// requires byte equality.
+/// The `ran:`/`resumed:`/`status:`/`result:`/`schedule:`/`verdict:` block
+/// both front ends print: `retscan run` from the summary of its own result,
+/// `retscan submit --wait` from the daemon's — one printer, so the serve CI
+/// job's diff of `^(result|schedule|verdict):` lines between the two holds
+/// for every campaign kind.
 void print_summary(std::ostream& out, const ResultSummary& summary);
 
 /// The CLI override flags a submit request may attach to a spec file —
@@ -134,12 +135,31 @@ struct SubmitOverrides {
 Json to_json(const SubmitOverrides& overrides);
 SubmitOverrides overrides_from_json(const Json& json);
 
-/// Apply overrides onto a parsed spec (same semantics as the `retscan run`
-/// flag loop). Throws retscan::Error on unknown backend/schedule names.
+/// Strict unsigned flag value — the spec-file rules (retscan::parse_u64):
+/// '-1' and '10abc' are errors, not silently wrapped/truncated values.
+/// `max` guards fields narrower than 64 bits. Throws retscan::Error.
+std::uint64_t parse_flag_u64(const std::string& flag, const std::string& value,
+                             std::uint64_t max = ~std::uint64_t{0});
+
+/// The one parser of the run override flags, shared by `retscan run`,
+/// `describe` and `submit`: `--seed N --threads N --sequences N
+/// --backend NAME --schedule NAME --checkpoint PATH --resume
+/// --deadline-ms N`. Backend and schedule names are checked here, with the
+/// message apply_overrides throws, so a bad name never reaches the daemon.
+/// Throws retscan::Error on an unknown flag or a missing or bad value.
+SubmitOverrides parse_overrides(const std::vector<std::string>& args);
+
+/// Apply overrides onto a parsed spec — the one applier behind both front
+/// ends. Re-checks the thread count and the backend/schedule names, since
+/// JSON from the socket is outside input, and throws retscan::Error with
+/// parse_overrides' message when one is bad.
 void apply_overrides(SpecFile& file, const SubmitOverrides& overrides);
 
-/// Map a terminal job state + summary to the `retscan run` exit-code
-/// convention: 0 pass, 1 fail, 2 spec/daemon error, 3 deadline expired,
+/// The job state a finished campaign ends in.
+JobState state_for(CampaignStatus status);
+
+/// Map a terminal job state + summary to the exit-code convention of both
+/// front ends: 0 pass, 1 fail, 2 spec/daemon error, 3 deadline expired,
 /// 130 cancelled.
 int exit_code_for(JobState state, const ResultSummary* summary);
 

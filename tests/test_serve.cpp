@@ -17,6 +17,7 @@
 #include <fstream>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -315,6 +316,301 @@ TEST(ServeEquivalence, SummarySurvivesTheWireAndDetectsTampering) {
   EXPECT_EQ(summary_digest(*again.summary), summary_digest(*record.summary));
 }
 
+/// Every field of ResultSummary set, each to a different value.
+ResultSummary fixed_summary() {
+  ResultSummary s;
+  s.kind = "scan-test";
+  s.backend = "packed-parallel";
+  s.schedule = "event";
+  s.status = "complete";
+  s.threads = 3;
+  s.shard_count = 5;
+  s.shards_completed = 5;
+  s.shards_resumed = 2;
+  s.seconds = 1.25;
+  s.checkpoint = "x.journal";
+  s.passed = true;
+  s.sequences = 1001;
+  s.errors_injected = 1002;
+  s.sequences_with_errors = 1003;
+  s.detected = 1004;
+  s.corrected = 1005;
+  s.flagged_uncorrectable = 1006;
+  s.comparator_mismatches = 1007;
+  s.silent_corruptions = 1008;
+  s.atpg_patterns = 2001;
+  s.atpg_total_faults = 2002;
+  s.atpg_detected_random = 2003;
+  s.atpg_detected_podem = 2004;
+  s.atpg_untestable = 2005;
+  s.atpg_aborted = 2006;
+  s.faults_total = 2007;
+  s.faults_detected = 2008;
+  s.scan_patterns_applied = 2009;
+  s.scan_mismatches = 2010;
+  s.event_sweeps = 3001;
+  s.full_sweeps = 3002;
+  s.full_sweep_fallbacks = 3003;
+  s.event_instrs = 3004;
+  s.sweep_instrs = 3005;
+  s.instr_capacity = 3006;
+  return s;
+}
+
+TEST(ServeEquivalence, DigestAndWireFormOfAFixedSummaryArePinned) {
+  // Pinned digest and JSON of fixed_summary(): the one field table behind
+  // to_json, summary_from_json and summary_digest must keep every key,
+  // every value and each field's position in the digest.
+  const ResultSummary s = fixed_summary();
+  EXPECT_EQ(summary_digest(s), 14564031263717650967ull);
+  const std::string wire = to_json(s).dump();
+  EXPECT_EQ(wire,
+      R"({"atpg_aborted":2006,"atpg_detected_podem":2004,)"
+      R"("atpg_detected_random":2003,"atpg_patterns":2001,)"
+      R"("atpg_total_faults":2002,"atpg_untestable":2005,)"
+      R"("backend":"packed-parallel","checkpoint":"x.journal",)"
+      R"("comparator_mismatches":1007,"corrected":1005,"detected":1004,)"
+      R"("digest":14564031263717650967,"errors_injected":1002,)"
+      R"("event_instrs":3004,"event_sweeps":3001,"faults_detected":2008,)"
+      R"("faults_total":2007,"flagged_uncorrectable":1006,)"
+      R"("full_sweep_fallbacks":3003,"full_sweeps":3002,)"
+      R"("instr_capacity":3006,"kind":"scan-test","passed":true,)"
+      R"("scan_mismatches":2010,"scan_patterns_applied":2009,)"
+      R"("schedule":"event","seconds":1.25,"sequences":1001,)"
+      R"("sequences_with_errors":1003,"shard_count":5,"shards_completed":5,)"
+      R"("shards_resumed":2,"silent_corruptions":1008,"status":"complete",)"
+      R"("sweep_instrs":3005,"threads":3})");
+
+  // Not statistics: execution shape, wall clock and journal path.
+  ResultSummary shape = s;
+  shape.backend = "reference";
+  shape.threads = 8;
+  shape.shards_resumed = 0;
+  shape.seconds = 9.0;
+  shape.checkpoint.clear();
+  EXPECT_EQ(summary_digest(shape), summary_digest(s));
+
+  // Every field survives the round trip, the non-digest ones included.
+  EXPECT_EQ(to_json(summary_from_json(Json::parse(wire))).dump(), wire);
+}
+
+// ---------------------------------------------------------------------------
+// One front end: `retscan run` and `retscan submit --wait` share the
+// override parser, the result printer and the exit-code rule.
+
+/// The `result:`/`schedule:`/`verdict:` lines of a printed summary — the
+/// lines the serve CI job diffs between `run` and `submit --wait`.
+std::string verdict_block(const ResultSummary& summary) {
+  std::ostringstream printed;
+  print_summary(printed, summary);
+  std::istringstream lines(printed.str());
+  std::string block;
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("result:", 0) == 0 || line.rfind("schedule:", 0) == 0 ||
+        line.rfind("verdict:", 0) == 0) {
+      block += line + "\n";
+    }
+  }
+  return block;
+}
+
+/// The `result:` line in the CLI's wording, built from the campaign result
+/// itself rather than from its wire summary.
+std::string expected_result_line(const CampaignResult& r) {
+  std::ostringstream out;
+  const std::size_t patterns = r.atpg.patterns.size();
+  const auto faults = [&] {
+    out << 100.0 * r.faults.coverage() << "% (" << r.faults.detected << "/"
+        << r.faults.total_faults << " faults)";
+  };
+  out << "result:   ";
+  switch (r.kind) {
+    case CampaignKind::Validation:
+    case CampaignKind::Injection:
+      out << r.validation.sequences << " sequences, "
+          << r.validation.sequences_with_errors << " with errors, detection "
+          << 100.0 * r.validation.detection_rate() << "%, correction "
+          << 100.0 * r.validation.correction_rate() << "%";
+      break;
+    case CampaignKind::FaultCoverage:
+      out << patterns << " patterns, coverage " << 100.0 * r.atpg.coverage()
+          << "% (" << r.faults.detected << "/" << r.faults.total_faults
+          << " faults via fault-sim, " << r.atpg.untestable << " untestable, "
+          << r.atpg.aborted << " aborted)";
+      break;
+    case CampaignKind::TransitionDelay:
+      out << patterns << " patterns (" << (patterns == 0 ? 0 : patterns - 1)
+          << " launch/capture pairs), transition coverage ";
+      faults();
+      break;
+    case CampaignKind::Bridging:
+      out << patterns << " patterns, bridging coverage ";
+      faults();
+      break;
+    case CampaignKind::SequentialCoverage:
+      out << "sequential coverage ";
+      faults();
+      break;
+    case CampaignKind::ScanTest:
+      out << r.scan_test.patterns_applied << " patterns delivered, "
+          << r.scan_test.mismatches << " mismatches (coverage "
+          << 100.0 * r.atpg.coverage() << "%, " << r.atpg.untestable
+          << " untestable, " << r.atpg.aborted << " aborted)";
+      break;
+  }
+  return out.str();
+}
+
+TEST(ServeFrontEnd, EveryCampaignKindPrintsOneResultBlock) {
+  const std::string fifo =
+      "fifo.depth = 32\n"
+      "fifo.width = 2\n"
+      "protection.kind = hamming+crc\n"
+      "protection.hamming_r = 3\n"
+      "protection.chain_count = 8\n"
+      "protection.test_width = 4\n";
+  const std::string atpg =
+      "campaign.seed = 1\n"
+      "campaign.atpg.random_patterns = 64\n"
+      "campaign.atpg.max_backtracks = 100\n";
+  const std::pair<CampaignKind, std::string> cases[] = {
+      {CampaignKind::Validation,
+       fifo + "campaign.kind = validation\ncampaign.seed = 5\n"
+              "campaign.sequences = 256\ncampaign.tier = structural\n"},
+      {CampaignKind::Injection,
+       fifo + "campaign.kind = injection\ncampaign.seed = 6\n"
+              "campaign.sequences = 500\ncampaign.mode = rush-model\n"},
+      {CampaignKind::FaultCoverage,
+       std::string("netlist = ") + RETSCAN_CIRCUITS_DIR +
+           "/ctrl344.v\ncampaign.kind = fault-coverage\n" + atpg},
+      {CampaignKind::TransitionDelay,
+       fifo + "campaign.kind = transition-delay\ncampaign.atpg.run_podem = false\n" + atpg},
+      {CampaignKind::Bridging,
+       fifo + "campaign.kind = bridging\ncampaign.atpg.run_podem = false\n" + atpg},
+      {CampaignKind::SequentialCoverage,
+       fifo + "campaign.kind = sequential-coverage\ncampaign.seed = 1\n"
+              "campaign.sequences = 8\ncampaign.cycles = 4\n"},
+      {CampaignKind::ScanTest, fifo + "campaign.kind = scan-test\n" + atpg},
+  };
+  ServeOptions options;
+  options.max_active = 1;
+  JobManager manager(options);
+  for (const auto& [kind, body] : cases) {
+    SCOPED_TRACE(to_string(kind));
+    const std::string spec =
+        write_file(std::string("serve_kind_") + to_string(kind) + ".spec", body);
+
+    // `retscan run`: the campaign in this process, printed from its summary.
+    const SpecFile file = load_spec_file(spec);
+    ASSERT_EQ(file.campaign.kind, kind);
+    Session session = make_session(file);
+    const CampaignResult result = run(session, file.campaign);
+    const ResultSummary summary = summarize(result, file.campaign);
+    const std::string block = verdict_block(summary);
+    EXPECT_EQ(block.substr(0, block.find('\n')), expected_result_line(result));
+    EXPECT_EQ(exit_code_for(state_for(result.status), &summary), 0);
+
+    // `retscan submit --wait`: the same spec through the daemon's job path.
+    const JobRecord job = run_one(manager, spec);
+    ASSERT_EQ(job.state, JobState::Done) << job.error;
+    ASSERT_TRUE(job.summary.has_value());
+    EXPECT_EQ(verdict_block(*job.summary), block);
+    EXPECT_EQ(exit_code_for(job.state, &*job.summary), 0);
+  }
+}
+
+TEST(ServeFrontEnd, ExitCodeRuleCoversEveryOutcome) {
+  ResultSummary pass;
+  pass.passed = true;
+  const ResultSummary fail;
+  EXPECT_EQ(exit_code_for(state_for(CampaignStatus::Complete), &pass), 0);
+  EXPECT_EQ(exit_code_for(state_for(CampaignStatus::Complete), &fail), 1);
+  EXPECT_EQ(exit_code_for(state_for(CampaignStatus::Timeout), &pass), 3);
+  EXPECT_EQ(exit_code_for(state_for(CampaignStatus::Cancelled), &pass), 130);
+  EXPECT_EQ(exit_code_for(JobState::Failed, nullptr), 2);
+}
+
+TEST(ServeFrontEnd, ParseOverridesReadsEveryRunFlag) {
+  EXPECT_EQ(to_json(parse_overrides({})).dump(), "{}");
+
+  const SubmitOverrides all = parse_overrides(
+      {"--seed", "404", "--threads", "3", "--sequences", "500", "--backend",
+       "reference", "--schedule", "sweep", "--checkpoint", "x.journal",
+       "--resume", "--deadline-ms", "5000"});
+  EXPECT_EQ(all.seed, 404u);
+  EXPECT_EQ(all.threads, 3u);
+  EXPECT_EQ(all.sequences, 500u);
+  EXPECT_EQ(all.backend, "reference");
+  EXPECT_EQ(all.schedule, "sweep");
+  EXPECT_EQ(all.checkpoint, "x.journal");
+  EXPECT_TRUE(all.resume);
+  EXPECT_EQ(all.deadline_ms, 5000u);
+
+  // One flag sets one field and nothing else.
+  const std::pair<std::vector<std::string>, std::string> single[] = {
+      {{"--seed", "7"}, R"({"seed":7})"},
+      {{"--threads", "4096"}, R"({"threads":4096})"},
+      {{"--sequences", "0"}, R"({"sequences":0})"},
+      {{"--backend", "packed-parallel"}, R"({"backend":"packed-parallel"})"},
+      {{"--schedule", "event"}, R"({"schedule":"event"})"},
+      {{"--checkpoint", "run.journal"}, R"({"checkpoint":"run.journal"})"},
+      {{"--resume"}, R"({"resume":true})"},
+      {{"--deadline-ms", "18446744073709551615"},
+       R"({"deadline_ms":18446744073709551615})"},
+  };
+  for (const auto& [args, json] : single) {
+    SCOPED_TRACE(args.front());
+    EXPECT_EQ(to_json(parse_overrides(args)).dump(), json);
+  }
+}
+
+TEST(ServeFrontEnd, ParseOverridesRejectsBadFlagsBeforeSubmission) {
+  const auto rejection = [](const std::vector<std::string>& args) {
+    try {
+      parse_overrides(args);
+    } catch (const Error& error) {
+      return std::string(error.what());
+    }
+    return std::string("(accepted)");
+  };
+  EXPECT_EQ(rejection({"--bogus", "1"}), "unknown flag '--bogus'");
+  EXPECT_EQ(rejection({"--wait"}), "unknown flag '--wait'");
+  EXPECT_EQ(rejection({"--seed"}), "--seed needs a value");
+  EXPECT_EQ(rejection({"--seed", "-1"}),
+            "--seed needs a non-negative integer, got '-1'");
+  EXPECT_EQ(rejection({"--sequences", "10abc"}),
+            "--sequences needs a non-negative integer, got '10abc'");
+  EXPECT_EQ(rejection({"--threads", "5000"}),
+            "--threads = 5000 is out of range (max 4096)");
+  const std::string bad_backend =
+      "unknown backend 'packed' (want auto, reference or packed-parallel)";
+  const std::string bad_schedule =
+      "unknown schedule 'fast' (want auto, sweep or event)";
+  EXPECT_EQ(rejection({"--backend", "packed"}), bad_backend);
+  EXPECT_EQ(rejection({"--schedule", "fast"}), bad_schedule);
+
+  // JSON from the socket is outside input: apply_overrides re-checks it
+  // and rejects with the same message.
+  SpecFile file = load_spec_file(validation_spec());
+  const auto applied = [&](const SubmitOverrides& overrides) {
+    try {
+      apply_overrides(file, overrides);
+    } catch (const Error& error) {
+      return std::string(error.what());
+    }
+    return std::string("(accepted)");
+  };
+  SubmitOverrides wire;
+  wire.backend = "packed";
+  EXPECT_EQ(applied(wire), bad_backend);
+  wire = {};
+  wire.schedule = "fast";
+  EXPECT_EQ(applied(wire), bad_schedule);
+  wire = {};
+  wire.threads = 5000;
+  EXPECT_EQ(applied(wire), "--threads = 5000 is out of range (max 4096)");
+}
+
 // ---------------------------------------------------------------------------
 // Job lifecycle.
 
@@ -330,7 +626,7 @@ TEST(ServeJobManager, OverridesShapeTheCampaign) {
   ASSERT_EQ(shrunk.state, JobState::Done) << shrunk.error;
   EXPECT_EQ(shrunk.summary->sequences, 500u);
 
-  // apply_overrides mirrors the `retscan run` flag loop exactly.
+  // apply_overrides is what `retscan run` applies its flags with too.
   SpecFile file = load_spec_file(spec);
   overrides = {};
   overrides.seed = 404;

@@ -12,17 +12,20 @@
 //   --checkpoint PATH --resume --deadline-ms N
 //
 // The spec format is `key = value` lines with '#' comments; see
-// examples/validation.spec for the full key reference. Exit status: 0 when
+// docs/spec-reference.md for the full key reference. One-shot `run` and the
+// daemon's `submit --wait` share serve/protocol.hpp's override parser
+// (parse_overrides), override applier (apply_overrides), result printer
+// (print_summary) and exit-code rule (exit_code_for). Exit status: 0 when
 // the campaign's pass verdict holds (no silent corruptions / no delivery
 // mismatches), 1 otherwise, 2 on usage or spec errors, 3 when a deadline_ms
 // budget expired, 130 when interrupted by SIGINT/SIGTERM (partial results —
-// and, with --checkpoint, a journal to --resume from). `submit --wait`
-// mirrors the same convention from the daemon-side result.
+// and, with --checkpoint, a journal to --resume from).
 
 #include <csignal>
 #include <cstring>
 #include <iostream>
 #include <string>
+#include <vector>
 
 #include "retscan/retscan.hpp"
 #include "retscan/serve.hpp"
@@ -30,22 +33,6 @@
 namespace {
 
 using namespace retscan;
-
-/// Strict override-value parse — the spec-file rules (retscan::parse_u64):
-/// '-1' and '10abc' are usage errors, not silently wrapped/truncated
-/// campaigns. `max` guards fields narrower than 64 bits.
-std::uint64_t parse_override_u64(const std::string& flag, const std::string& value,
-                                 std::uint64_t max = ~std::uint64_t{0}) {
-  const std::optional<std::uint64_t> parsed = parse_u64(value);
-  if (!parsed) {
-    throw Error(flag + " needs a non-negative integer, got '" + value + "'");
-  }
-  if (*parsed > max) {
-    throw Error(flag + " = " + value + " is out of range (max " +
-                std::to_string(max) + ")");
-  }
-  return *parsed;
-}
 
 int usage(std::ostream& out, int status) {
   out << "usage: retscan run <campaign.spec> [--seed N] [--threads N]\n"
@@ -148,125 +135,15 @@ void print_plan(std::ostream& out, const SpecFile& file, const Netlist* base,
   }
 }
 
-void print_result(std::ostream& out, const CampaignResult& r,
-                  const CampaignSpec& spec) {
-  out << "ran:      " << to_string(r.kind) << " on " << to_string(r.backend) << ", "
-      << r.threads << (r.threads == 1 ? " thread x " : " threads x ") << r.shard_count
-      << (r.shard_count == 1 ? " shard, " : " shards, ") << r.seconds
-      << " s\n";
-  if (r.shards_resumed != 0) {
-    out << "resumed:  " << r.shards_resumed << " of " << r.shard_count
-        << " shards merged from " << spec.checkpoint << "\n";
-  }
-  if (r.status != CampaignStatus::Complete) {
-    // Interrupted: the statistics below are partial (completed shards
-    // only) — still exact for those shards, and checkpointed if armed.
-    out << "status:   " << to_string(r.status) << " after " << r.shards_completed
-        << " of " << r.shard_count << " shards";
-    if (!spec.checkpoint.empty()) {
-      out << "; journal " << spec.checkpoint << " holds the completed work "
-          << "(rerun with --resume)";
-    }
-    out << "\n";
-  }
-  switch (r.kind) {
-    case CampaignKind::Validation:
-    case CampaignKind::Injection: {
-      const ValidationStats& v = r.validation;
-      out << "result:   " << v.sequences << " sequences, " << v.sequences_with_errors
-          << " with errors, detection " << 100.0 * v.detection_rate()
-          << "%, correction " << 100.0 * v.correction_rate() << "%\n"
-          << "          flagged-uncorrectable " << v.flagged_uncorrectable
-          << ", silent corruptions " << v.silent_corruptions << "\n";
-      if (r.activity.settles() != 0) {
-        out << "schedule: " << to_string(r.schedule) << " — "
-            << r.activity.event_sweeps << " event settles, "
-            << r.activity.full_sweeps << " full sweeps ("
-            << r.activity.full_sweep_fallbacks << " fallbacks), avg dirty "
-            << "fraction " << r.activity.avg_dirty_fraction() << "\n";
-      }
-      break;
-    }
-    case CampaignKind::FaultCoverage:
-      out << "result:   " << r.atpg.patterns.size() << " patterns, coverage "
-          << 100.0 * r.atpg.coverage() << "% (" << r.faults.detected << "/"
-          << r.faults.total_faults << " faults via fault-sim)\n";
-      break;
-    case CampaignKind::TransitionDelay:
-      out << "result:   " << r.atpg.patterns.size() << " patterns ("
-          << (r.atpg.patterns.empty() ? 0 : r.atpg.patterns.size() - 1)
-          << " launch/capture pairs), transition coverage "
-          << 100.0 * r.faults.coverage() << "% (" << r.faults.detected << "/"
-          << r.faults.total_faults << " faults)\n";
-      break;
-    case CampaignKind::Bridging:
-      out << "result:   " << r.atpg.patterns.size() << " patterns, bridging "
-          << "coverage " << 100.0 * r.faults.coverage() << "% ("
-          << r.faults.detected << "/" << r.faults.total_faults << " faults)\n";
-      break;
-    case CampaignKind::SequentialCoverage:
-      out << "result:   " << spec.sequences << " sequences x " << spec.cycles
-          << " cycles, sequential coverage " << 100.0 * r.faults.coverage()
-          << "% (" << r.faults.detected << "/" << r.faults.total_faults
-          << " faults)\n";
-      break;
-    case CampaignKind::ScanTest:
-      out << "result:   " << r.scan_test.patterns_applied << " patterns delivered, "
-          << r.scan_test.mismatches << " mismatches (coverage "
-          << 100.0 * r.atpg.coverage() << "%)\n";
-      break;
-  }
-  out << "verdict:  " << (r.passed() ? "PASS" : "FAIL") << "\n";
-}
-
 int run_command(const std::string& command, int argc, char** argv) {
   if (argc < 1) {
     std::cerr << "retscan " << command << ": missing spec file\n";
     return usage(std::cerr, 2);
   }
+  const serve::SubmitOverrides overrides =
+      serve::parse_overrides({argv + 1, argv + argc});
   SpecFile file = load_spec_file(argv[0]);
-  for (int i = 1; i < argc;) {
-    const std::string flag = argv[i];
-    // Boolean flags (no value operand) first.
-    if (flag == "--resume") {
-      file.campaign.resume = true;
-      i += 1;
-      continue;
-    }
-    if (i + 1 >= argc) {
-      std::cerr << "retscan: " << flag << " needs a value\n";
-      return 2;
-    }
-    const std::string value = argv[i + 1];
-    i += 2;
-    if (flag == "--seed") {
-      file.campaign.seed = parse_override_u64(flag, value);
-    } else if (flag == "--threads") {
-      file.campaign.threads =
-          static_cast<unsigned>(parse_override_u64(flag, value, 4096));
-    } else if (flag == "--sequences") {
-      file.campaign.sequences = parse_override_u64(flag, value);
-    } else if (flag == "--backend") {
-      if (!from_string(value, file.campaign.backend)) {
-        std::cerr << "retscan: unknown backend '" << value
-                  << "' (want auto, reference or packed-parallel)\n";
-        return 2;
-      }
-    } else if (flag == "--schedule") {
-      if (!from_string(value, file.campaign.schedule)) {
-        std::cerr << "retscan: unknown schedule '" << value
-                  << "' (want auto, sweep or event)\n";
-        return 2;
-      }
-    } else if (flag == "--checkpoint") {
-      file.campaign.checkpoint = value;
-    } else if (flag == "--deadline-ms") {
-      file.campaign.deadline_ms = parse_override_u64(flag, value);
-    } else {
-      std::cerr << "retscan: unknown flag '" << flag << "'\n";
-      return usage(std::cerr, 2);
-    }
-  }
+  serve::apply_overrides(file, overrides);
 
   Session session = make_session(file);
   const Backend resolved = resolve_backend(file.campaign, session);  // validates
@@ -300,16 +177,9 @@ int run_command(const std::string& command, int argc, char** argv) {
   const CampaignResult result = run(session, file.campaign);
   std::signal(SIGINT, SIG_DFL);
   std::signal(SIGTERM, SIG_DFL);
-  print_result(std::cout, result, file.campaign);
-  switch (result.status) {
-    case CampaignStatus::Cancelled:
-      return 130;  // 128 + SIGINT, the shell convention for "interrupted"
-    case CampaignStatus::Timeout:
-      return 3;
-    case CampaignStatus::Complete:
-      break;
-  }
-  return result.passed() ? 0 : 1;
+  const serve::ResultSummary summary = serve::summarize(result, file.campaign);
+  serve::print_summary(std::cout, summary);
+  return serve::exit_code_for(serve::state_for(result.status), &summary);
 }
 
 // --- service commands (docs/serve.md) --------------------------------------
@@ -340,13 +210,13 @@ int serve_command(int argc, char** argv) {
       options.cache_dir = value;
     } else if (flag == "--threads") {
       options.threads =
-          static_cast<unsigned>(parse_override_u64(flag, value, 4096));
+          static_cast<unsigned>(serve::parse_flag_u64(flag, value, 4096));
     } else if (flag == "--active") {
       options.max_active =
-          static_cast<std::size_t>(parse_override_u64(flag, value, 64));
+          static_cast<std::size_t>(serve::parse_flag_u64(flag, value, 64));
     } else if (flag == "--session-cache") {
       options.session_capacity =
-          static_cast<std::size_t>(parse_override_u64(flag, value, 1024));
+          static_cast<std::size_t>(serve::parse_flag_u64(flag, value, 1024));
     } else {
       std::cerr << "retscan serve: unknown flag '" << flag << "'\n";
       return usage(std::cerr, 2);
@@ -397,45 +267,11 @@ int submit_command(int argc, char** argv) {
     return usage(std::cerr, 2);
   }
   const std::string spec_path = argv[0];
-  bool wait = false;
-  serve::SubmitOverrides overrides;
-  for (int i = 1; i < argc;) {
-    const std::string flag = argv[i];
-    if (flag == "--wait") {
-      wait = true;
-      i += 1;
-      continue;
-    }
-    if (flag == "--resume") {
-      overrides.resume = true;
-      i += 1;
-      continue;
-    }
-    if (i + 1 >= argc) {
-      std::cerr << "retscan submit: " << flag << " needs a value\n";
-      return 2;
-    }
-    const std::string value = argv[i + 1];
-    i += 2;
-    if (flag == "--seed") {
-      overrides.seed = parse_override_u64(flag, value);
-    } else if (flag == "--threads") {
-      overrides.threads = parse_override_u64(flag, value, 4096);
-    } else if (flag == "--sequences") {
-      overrides.sequences = parse_override_u64(flag, value);
-    } else if (flag == "--backend") {
-      overrides.backend = value;
-    } else if (flag == "--schedule") {
-      overrides.schedule = value;
-    } else if (flag == "--checkpoint") {
-      overrides.checkpoint = value;
-    } else if (flag == "--deadline-ms") {
-      overrides.deadline_ms = parse_override_u64(flag, value);
-    } else {
-      std::cerr << "retscan submit: unknown flag '" << flag << "'\n";
-      return usage(std::cerr, 2);
-    }
-  }
+  std::vector<std::string> flags(argv + 1, argv + argc);
+  const bool wait = std::erase(flags, "--wait") != 0;
+  // Parsed (and names checked) here, so a bad override never reaches the
+  // daemon's queue.
+  const serve::SubmitOverrides overrides = serve::parse_overrides(flags);
 
   serve::Client client(socket_path);
   serve::Json request = serve::Json::Object{};
@@ -511,7 +347,7 @@ int job_command(int argc, char** argv) {
     std::cerr << "retscan job: missing job id\n";
     return 2;
   }
-  const std::uint64_t id = parse_override_u64("job id", argv[0]);
+  const std::uint64_t id = serve::parse_flag_u64("job id", argv[0]);
   serve::Client client(socket_path);
   serve::Json request = serve::Json::Object{};
   request.set("cmd", "status").set("id", id);
@@ -530,7 +366,7 @@ int cancel_command(int argc, char** argv) {
     std::cerr << "retscan cancel: missing job id\n";
     return 2;
   }
-  const std::uint64_t id = parse_override_u64("job id", argv[0]);
+  const std::uint64_t id = serve::parse_flag_u64("job id", argv[0]);
   serve::Client client(socket_path);
   serve::Json request = serve::Json::Object{};
   request.set("cmd", "cancel").set("id", id);
