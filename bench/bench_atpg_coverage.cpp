@@ -7,7 +7,9 @@
 // PODEM itself is timed against the retained reference implementation
 // (bench/reference_podem.hpp: full re-simulation per decision) on the
 // identical targets — every random-phase survivor — and both must return
-// identical results: `atpg_speedup` in BENCH_atpg.json.
+// identical results: `atpg_speedup` in BENCH_atpg.json. Complete ATPG is
+// also timed on the default pool against a 1-thread pool, pattern sets
+// checked identical: `podem_threaded_speedup`.
 //
 // Also the fault-sim/delivery throughput bench: the 64-way bit-parallel
 // paths are timed against scalar baselines (one pattern per pass / one
@@ -231,6 +233,39 @@ int main() {
     json.set("scaling_efficiency" + suffix, efficiency);
   }
 
+  // --- complete ATPG: speculative PODEM on the pool vs a 1-thread pool ----
+  // The headline run's options on both sides, best of interleaved
+  // repetitions. PODEM commits in fault order and X-fills at commit, so
+  // both pattern sets must equal the headline run's.
+  bench::header("Complete ATPG thread speed-up (speculative PODEM)");
+  const auto same_atpg = [&atpg](const AtpgResult& other) {
+    return other.patterns == atpg.patterns && other.detected_random == atpg.detected_random &&
+           other.detected_podem == atpg.detected_podem &&
+           other.untestable == atpg.untestable && other.aborted == atpg.aborted;
+  };
+  double serial_atpg_time = 0.0;
+  double pooled_atpg_time = 0.0;
+  bool atpg_pool_matches = true;
+  for (int r = 0; r < kPodemRepeats; ++r) {
+    timer.restart();
+    const AtpgResult serial_atpg = run_atpg(frame, faults, options, &serial_pool);
+    const double serial_time = timer.seconds();
+    timer.restart();
+    const AtpgResult pooled_atpg = run_atpg(frame, faults, options, &pool);
+    const double pooled_time = timer.seconds();
+    atpg_pool_matches = atpg_pool_matches && same_atpg(serial_atpg) && same_atpg(pooled_atpg);
+    serial_atpg_time = r == 0 ? serial_time : std::min(serial_atpg_time, serial_time);
+    pooled_atpg_time = r == 0 ? pooled_time : std::min(pooled_atpg_time, pooled_time);
+  }
+  const double podem_threaded_speedup = serial_atpg_time / pooled_atpg_time;
+  std::cout << "1 thread:  " << serial_atpg_time << " s\n"
+            << pool.size() << " threads: " << pooled_atpg_time << " s ("
+            << podem_threaded_speedup << "x, pattern sets "
+            << (atpg_pool_matches ? "identical" : "DIVERGED") << ")\n";
+  json.set("atpg_serial_sec", serial_atpg_time);
+  json.set("atpg_pooled_sec", pooled_atpg_time);
+  json.set("podem_threaded_speedup", podem_threaded_speedup);
+
   // --- test-mode delivery throughput: one lane per pattern vs one load ----
   // The single-thread packed rate is the 64-lane delivery on a 1-thread
   // pool, which runs its shards inline.
@@ -269,7 +304,7 @@ int main() {
   const bool ok = atpg.coverage() > 0.90 && scalar_applied.all_passed() &&
                   packed_applied.all_passed() && pooled_applied.all_passed() &&
                   pooled_applied.patterns_applied == packed_applied.patterns_applied &&
-                  pooled_matches && scaling_matches && podem_matches &&
+                  pooled_matches && scaling_matches && podem_matches && atpg_pool_matches &&
                   packed_detects == scalar_detects &&
                   faultsim_speedup >= 10.0 && delivery_speedup >= 10.0;
   json.set("pass", ok ? 1.0 : 0.0);

@@ -49,6 +49,7 @@ REQUIRED_KEYS = {
         "coverage",
         "patterns",
         "atpg_speedup",
+        "podem_threaded_speedup",
         "faultsim_speedup",
         "delivery_speedup",
     ]
@@ -144,6 +145,9 @@ def conditional_gates(name, report):
 
     if name == "atpg" and cores >= 8:
         gates.append(("scaling_efficiency_t4", 0.5, f"cores={cores:.0f} >= 8"))
+        # Complete ATPG with speculative PODEM on the default pool vs a
+        # 1-thread pool, pattern sets checked identical in the same run.
+        gates.append(("podem_threaded_speedup", 1.5, f"cores={cores:.0f} >= 8"))
 
     return gates
 

@@ -118,7 +118,8 @@ class Session {
   ScanTestResult run_scan_test(const std::vector<BitVec>& patterns,
                                const ScanTestOptions& options = {});
 
-  /// Generate a pattern set on the session's frame and fault list.
+  /// Generate a pattern set on the session's frame and fault list, on the
+  /// session's pool; the patterns are those of a serial run.
   AtpgResult run_atpg(const AtpgOptions& options = {});
 
  private:

@@ -16,5 +16,5 @@
 #include "atpg/fault.hpp"      // Fault, enumerate_faults, collapse_faults
 #include "atpg/fault_sim.hpp"  // CombinationalFrame, fault_simulate
 #include "atpg/pattern_io.hpp" // pattern save/load
-#include "atpg/podem.hpp"      // Podem, PodemResult
+#include "atpg/podem.hpp"      // Podem, PodemResult, PodemSearch
 #include "atpg/scan_test.hpp"  // ScanTestResult + the apply_* delivery kernels

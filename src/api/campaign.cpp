@@ -542,10 +542,8 @@ void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
 
 /// The coverage kinds: one fault universe and one simulator per kind, all
 /// graded on the same sharded driver.
-void run_coverage(Session& session, const CampaignSpec& spec, Backend backend,
-                  const RunHooks& hooks, CampaignResult& result) {
-  std::unique_ptr<parallel::CampaignRunner> local;
-  parallel::CampaignRunner& runner = select_runner(session, spec, backend, hooks, local);
+void run_coverage(Session& session, const CampaignSpec& spec,
+                  parallel::CampaignRunner& runner, CampaignResult& result) {
   const bool sequential = spec.kind == CampaignKind::SequentialCoverage;
   const std::size_t shard = spec.shard_size != 0 ? spec.shard_size
                             : sequential         ? grading::kSequentialShard
@@ -591,31 +589,33 @@ CampaignResult run(Session& session, const CampaignSpec& spec,
   result.kind = spec.kind;
   result.backend = backend;
   const auto start = std::chrono::steady_clock::now();
-  if (is_pattern_kind(spec.kind)) {
-    AtpgOptions options = spec.atpg;
-    options.seed = spec.seed;
-    result.atpg = run_atpg(session.frame(), session.faults(), options);
-  }
   switch (spec.kind) {
     case CampaignKind::Validation:
     case CampaignKind::Injection:
       run_validation(session, spec, backend, hooks, result);
       break;
-    case CampaignKind::ScanTest: {
-      // The same delivery as Session::run_scan_test, on the runner that
-      // honours the spec's threads knob and the service hooks.
+    default: {
+      // One runner, honouring the spec's threads knob and the service
+      // hooks, for the ATPG and for the grading or delivery after it.
       std::unique_ptr<parallel::CampaignRunner> local;
       parallel::CampaignRunner& runner = select_runner(session, spec, backend, hooks, local);
-      result.scan_test = session.deliver_scan_test(result.atpg.patterns, backend,
-                                                   spec.shard_size, runner.pool(),
-                                                   result.shard_count);
-      result.threads = runner.threads();
-      result.shards_completed = result.shard_count;
+      if (is_pattern_kind(spec.kind)) {
+        AtpgOptions options = spec.atpg;
+        options.seed = spec.seed;
+        result.atpg = run_atpg(session.frame(), session.faults(), options, &runner.pool());
+      }
+      if (spec.kind == CampaignKind::ScanTest) {
+        // The same delivery as Session::run_scan_test.
+        result.scan_test = session.deliver_scan_test(result.atpg.patterns, backend,
+                                                     spec.shard_size, runner.pool(),
+                                                     result.shard_count);
+        result.threads = runner.threads();
+        result.shards_completed = result.shard_count;
+      } else {
+        run_coverage(session, spec, runner, result);
+      }
       break;
     }
-    default:
-      run_coverage(session, spec, backend, hooks, result);
-      break;
   }
   result.seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();

@@ -214,7 +214,7 @@ ScanTestResult Session::deliver_scan_test(const std::vector<BitVec>& patterns,
 }
 
 AtpgResult Session::run_atpg(const AtpgOptions& options) {
-  return ::retscan::run_atpg(frame(), faults(), options);
+  return ::retscan::run_atpg(frame(), faults(), options, &pool());
 }
 
 }  // namespace retscan

@@ -46,21 +46,32 @@ struct AtpgResult {
 
 /// Two-phase ATPG over the combinational frame of a (scan) design:
 /// 1. Random phase: all `random_patterns` are drawn, then graded once by
-///    fault_simulate with fault dropping; only patterns that are some
-///    fault's first detection are kept, in draw order (reverse compaction).
-/// 2. Deterministic phase: PODEM on each remaining fault, in fault order,
-///    with one Podem instance for the whole phase. Implication is
-///    incremental over the compiled stream (only a changed input's fanout
-///    re-settles) and the D-frontier is a bitset kept by the same
-///    worklist; the decision order is that of a full re-simulation per
-///    decision, so the pattern set is too. Successful patterns are
-///    fault-simulated to drop collateral detections. Untestable faults
-///    leave the testable denominator; aborted ones (backtrack budget
-///    exceeded) stay in it, undetected.
+///    fault_simulate with fault dropping (on `pool`, else on a 1-thread
+///    pool); only patterns that are some fault's first detection are kept,
+///    in draw order (reverse compaction).
+/// 2. Deterministic phase: PODEM on each remaining fault, committed in
+///    fault order by the calling thread. Implication is incremental over
+///    the compiled stream (only a changed input's fanout re-settles) and
+///    the D-frontier is a bitset kept by the same worklist; the decision
+///    order is that of a full re-simulation per decision. With a pool of
+///    more than one thread, short pool tasks run Podem::search for the
+///    targets up to 4 × pool size ahead of the commit position, each on a
+///    Podem from a free list, skipping targets already dropped. The
+///    committer takes each target in order: a dropped one is skipped (its
+///    speculative search discarded), an unclaimed one it searches itself,
+///    a claimed one it waits for. It then commits as the serial loop does:
+///    untestable faults leave the testable denominator, aborted ones
+///    (backtrack budget exceeded) stay in it undetected, and a success's
+///    cube is X-filled from the one seeded Rng and fault-simulated to drop
+///    collateral detections. A search that threw is rethrown when its
+///    target is committed, never if the target was dropped first.
+///    Without a pool, with a 1-thread pool, or when called from one of the
+///    pool's own workers, nothing runs ahead and the loop is serial.
 ///
-/// The result is a pure function of (frame, faults, options): the same
-/// seed yields the same pattern set.
+/// The result is a pure function of (frame, faults, options) at any pool
+/// size: the same seed yields the same pattern set, because a search draws
+/// no random numbers and fills are drawn only at commit, in fault order.
 AtpgResult run_atpg(const CombinationalFrame& frame, const std::vector<Fault>& faults,
-                    const AtpgOptions& options);
+                    const AtpgOptions& options, ThreadPool* pool = nullptr);
 
 }  // namespace retscan

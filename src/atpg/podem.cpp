@@ -12,7 +12,7 @@ namespace {
 constexpr std::size_t kNpos = std::numeric_limits<std::size_t>::max();
 constexpr std::size_t kUnbounded = std::numeric_limits<std::size_t>::max();
 constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
-constexpr std::uint8_t kX = 2;  // input_values_ encoding: 0, 1 or X
+constexpr std::uint8_t kX = Podem::kX;  // input_values_ encoding: 0, 1 or X
 
 using Tri = Podem::Tri;
 constexpr std::uint8_t kGood = 1;
@@ -44,8 +44,7 @@ std::uint32_t operand(const CompiledInstr& in, unsigned pin) {
 }  // namespace
 
 Podem::Podem(const CombinationalFrame& frame, std::size_t max_backtracks)
-    : frame_(&frame),
-      compiled_(frame.netlist().compiled()),
+    : compiled_(frame.netlist().compiled()),
       max_backtracks_(max_backtracks) {
   const Netlist& nl = frame.netlist();
   const std::vector<CompiledInstr>& instrs = compiled_->instrs();
@@ -250,7 +249,24 @@ std::pair<std::size_t, bool> Podem::backtrace(const Objective& objective) const 
 }
 
 PodemResult Podem::generate(const Fault& fault, Rng& rng) {
-  PodemResult result;
+  PodemSearch found = search(fault);
+  if (found.result.success) {
+    found.result.pattern = fill(found.cube, rng);
+  }
+  return found.result;
+}
+
+BitVec Podem::fill(const std::vector<std::uint8_t>& cube, Rng& rng) {
+  BitVec pattern(cube.size());
+  for (std::size_t i = 0; i < cube.size(); ++i) {
+    pattern.set(i, cube[i] == kX ? rng.next_bool(0.5) : cube[i] == 1);
+  }
+  return pattern;
+}
+
+PodemSearch Podem::search(const Fault& fault) {
+  PodemSearch found;
+  PodemResult& result = found.result;
   values_ = baseline_;
   input_values_ = baseline_inputs_;
   std::fill(frontier_.begin(), frontier_.end(), 0);
@@ -278,12 +294,8 @@ PodemResult Podem::generate(const Fault& fault, Rng& rng) {
   for (std::size_t iteration = 0; iteration < iteration_limit; ++iteration) {
     if (detected()) {
       result.success = true;
-      result.pattern = BitVec(frame_->pattern_width());
-      for (std::size_t i = 0; i < input_values_.size(); ++i) {
-        const std::uint8_t v = input_values_[i];
-        result.pattern.set(i, v == kX ? rng.next_bool(0.5) : v == 1);
-      }
-      return result;
+      found.cube = input_values_;
+      return found;
     }
 
     const Tri site = values_[fault_slot_];
@@ -299,7 +311,7 @@ PodemResult Podem::generate(const Fault& fault, Rng& rng) {
         if (stack.empty()) {
           result.untestable = result.backtracks <= max_backtracks_;
           result.aborted = !result.untestable;
-          return result;
+          return found;
         }
         Decision& top = stack.back();
         if (!top.flipped) {
@@ -313,7 +325,7 @@ PodemResult Podem::generate(const Fault& fault, Rng& rng) {
       }
       if (result.backtracks > max_backtracks_) {
         result.aborted = true;
-        return result;
+        return found;
       }
       imply();
       continue;
@@ -325,7 +337,7 @@ PodemResult Podem::generate(const Fault& fault, Rng& rng) {
     imply();
   }
   result.aborted = true;
-  return result;
+  return found;
 }
 
 }  // namespace retscan

@@ -28,6 +28,14 @@ struct PodemResult {
   bool operator==(const PodemResult&) const = default;
 };
 
+/// PODEM's search for one fault before X-fill: the verdict with an empty
+/// `pattern`, and on success the test cube, one entry per pattern input:
+/// 0, 1 or Podem::kX (left unassigned).
+struct PodemSearch {
+  PodemResult result;
+  std::vector<std::uint8_t> cube;
+};
+
 /// Path-Oriented DEcision Making test generator (Goel 1981) over the
 /// combinational frame, run on the frame's compiled instruction stream.
 ///
@@ -53,11 +61,25 @@ struct PodemResult {
 /// tests/test_podem_diff.cpp).
 ///
 /// The frame's input constraints are read at construction.
+///
+/// generate() is search() then fill(). search() restarts every target from
+/// the baseline and draws no random numbers, so its outcome is a pure
+/// function of (frame, fault, max_backtracks): searches for different
+/// faults may run on different instances and threads, and a caller that
+/// fills their cubes from one Rng in a fixed order draws what a serial
+/// run of generate() would.
 class Podem {
  public:
+  /// A test cube entry the search left unassigned.
+  static constexpr std::uint8_t kX = 2;
+
   Podem(const CombinationalFrame& frame, std::size_t max_backtracks = 500);
 
   PodemResult generate(const Fault& fault, Rng& rng);
+  PodemSearch search(const Fault& fault);
+  /// The pattern of a test cube: each X replaced by one rng.next_bool(0.5)
+  /// draw, in input order.
+  static BitVec fill(const std::vector<std::uint8_t>& cube, Rng& rng);
 
   /// Three-valued value of one slot in both machines: bit 0 of `one`/`zero`
   /// is the good machine, bit 1 the faulty one; a machine with neither bit
@@ -113,7 +135,6 @@ class Podem {
   /// input *index* into the pattern and the value to assign.
   std::pair<std::size_t, bool> backtrace(const Objective& objective) const;
 
-  const CombinationalFrame* frame_;
   std::shared_ptr<const CompiledNetlist> compiled_;
   std::size_t max_backtracks_;
   std::uint32_t source_count_ = 0;  // slot of instruction i = source_count_ + i

@@ -13,6 +13,7 @@
 #include "scan/scan_io.hpp"
 #include "util/error.hpp"
 #include "util/fnv.hpp"
+#include "util/thread_pool.hpp"
 
 #ifndef RETSCAN_CIRCUITS_DIR
 #define RETSCAN_CIRCUITS_DIR "bench/circuits"
@@ -266,56 +267,159 @@ TEST(Atpg, RandomResistantFaultsNeedPodem) {
 /// aborts, with the '89-class circuits in the protection wrap perfbench and
 /// bench_external use. Any change to PODEM's search — objective, backtrace,
 /// backtrack order or X-fill draws — moves the counts or the digest.
-TEST(AtpgGoldens, CompleteAtpgOnImportsIsPinned) {
-  struct Golden {
-    const char* file;
-    std::size_t chains;  // 0 = bare import
-    CodeKind kind;
-    std::size_t total, detected_random, detected_podem, untestable, aborted, patterns;
-    std::uint64_t digest;  // FNV-1a of the pattern set
-  };
-  const Golden goldens[] = {
-      {"c17.v", 0, CodeKind::CrcDetect, 22, 22, 0, 0, 0, 4, 0x33a03f6cba3d1d21ull},
-      {"cmp1908.v", 0, CodeKind::CrcDetect, 1388, 1064, 319, 5, 0, 108,
-       0x42f5878b77d6ed14ull},
-      {"ctl2670.v", 0, CodeKind::CrcDetect, 2054, 1799, 253, 2, 0, 109,
-       0x2d04a657cce85ab2ull},
-      {"mul6288.v", 0, CodeKind::CrcDetect, 3458, 3410, 0, 24, 24, 63,
-       0xbe887dadbc7f7b31ull},
-      {"s27.v", 3, CodeKind::CrcDetect, 316, 201, 0, 53, 62, 9, 0x303f3b470d68cb6bull},
-      {"ctrl344.v", 4, CodeKind::HammingPlusCrc, 690, 495, 2, 130, 63, 25,
-       0xff153206f6af8243ull},
-  };
-  for (const Golden& golden : goldens) {
-    SCOPED_TRACE(golden.file);
-    Netlist nl = Netlist::from_verilog(std::string(RETSCAN_CIRCUITS_DIR) + "/" + golden.file);
-    ProtectionConfig protection;
-    protection.kind = golden.kind;
-    protection.chain_count = golden.chains;
-    protection.test_width = golden.chains;
-    Session session = golden.chains == 0 ? Session::unprotected(std::move(nl))
-                                         : Session(std::move(nl), protection);
-    AtpgOptions options;
-    options.random_patterns = 256;
-    options.max_backtracks = 300;
-    options.seed = 1;
-    const AtpgResult result = run_atpg(session.frame(), session.faults(), options);
-    Fnv1a digest;
-    digest.add(result.patterns.size());
-    for (const BitVec& pattern : result.patterns) {
-      digest.add(pattern.size());
-      for (const std::uint64_t word : pattern.words()) {
-        digest.add(word);
-      }
+struct AtpgGolden {
+  const char* file;
+  std::size_t chains;  // 0 = bare import
+  CodeKind kind;
+  std::size_t total, detected_random, detected_podem, untestable, aborted, patterns;
+  std::uint64_t digest;  // FNV-1a of the pattern set
+};
+
+constexpr AtpgGolden kAtpgGoldens[] = {
+    {"c17.v", 0, CodeKind::CrcDetect, 22, 22, 0, 0, 0, 4, 0x33a03f6cba3d1d21ull},
+    {"cmp1908.v", 0, CodeKind::CrcDetect, 1388, 1064, 319, 5, 0, 108,
+     0x42f5878b77d6ed14ull},
+    {"ctl2670.v", 0, CodeKind::CrcDetect, 2054, 1799, 253, 2, 0, 109,
+     0x2d04a657cce85ab2ull},
+    {"mul6288.v", 0, CodeKind::CrcDetect, 3458, 3410, 0, 24, 24, 63,
+     0xbe887dadbc7f7b31ull},
+    {"s27.v", 3, CodeKind::CrcDetect, 316, 201, 0, 53, 62, 9, 0x303f3b470d68cb6bull},
+    {"ctrl344.v", 4, CodeKind::HammingPlusCrc, 690, 495, 2, 130, 63, 25,
+     0xff153206f6af8243ull},
+};
+
+Session golden_session(const AtpgGolden& golden) {
+  Netlist nl = Netlist::from_verilog(std::string(RETSCAN_CIRCUITS_DIR) + "/" + golden.file);
+  ProtectionConfig protection;
+  protection.kind = golden.kind;
+  protection.chain_count = golden.chains;
+  protection.test_width = golden.chains;
+  return golden.chains == 0 ? Session::unprotected(std::move(nl))
+                            : Session(std::move(nl), protection);
+}
+
+AtpgOptions golden_options() {
+  AtpgOptions options;
+  options.random_patterns = 256;
+  options.max_backtracks = 300;
+  options.seed = 1;
+  return options;
+}
+
+void expect_golden(const AtpgResult& result, const AtpgGolden& golden) {
+  Fnv1a digest;
+  digest.add(result.patterns.size());
+  for (const BitVec& pattern : result.patterns) {
+    digest.add(pattern.size());
+    for (const std::uint64_t word : pattern.words()) {
+      digest.add(word);
     }
-    EXPECT_EQ(result.total_faults, golden.total);
-    EXPECT_EQ(result.detected_random, golden.detected_random);
-    EXPECT_EQ(result.detected_podem, golden.detected_podem);
-    EXPECT_EQ(result.untestable, golden.untestable);
-    EXPECT_EQ(result.aborted, golden.aborted);
-    EXPECT_EQ(result.patterns.size(), golden.patterns);
-    EXPECT_EQ(digest.hash, golden.digest);
   }
+  EXPECT_EQ(result.total_faults, golden.total);
+  EXPECT_EQ(result.detected_random, golden.detected_random);
+  EXPECT_EQ(result.detected_podem, golden.detected_podem);
+  EXPECT_EQ(result.untestable, golden.untestable);
+  EXPECT_EQ(result.aborted, golden.aborted);
+  EXPECT_EQ(result.patterns.size(), golden.patterns);
+  EXPECT_EQ(digest.hash, golden.digest);
+}
+
+TEST(AtpgGoldens, CompleteAtpgOnImportsIsPinned) {
+  for (const AtpgGolden& golden : kAtpgGoldens) {
+    SCOPED_TRACE(golden.file);
+    Session session = golden_session(golden);
+    expect_golden(run_atpg(session.frame(), session.faults(), golden_options()), golden);
+  }
+}
+
+/// Speculative PODEM on a pool commits in fault order and X-fills from the
+/// one seeded stream at commit, so every pool size — and a call made from
+/// one of the pool's own workers, which runs serially — lands on the
+/// pinned goldens.
+TEST(AtpgThreadInvariance, GoldensAtEveryPoolSize) {
+  for (const unsigned threads : {1u, 2u, 4u, 8u}) {
+    ThreadPool pool(threads);
+    for (const AtpgGolden& golden : kAtpgGoldens) {
+      SCOPED_TRACE(std::string(golden.file) + " at " + std::to_string(threads) + " threads");
+      Session session = golden_session(golden);
+      expect_golden(run_atpg(session.frame(), session.faults(), golden_options(), &pool),
+                    golden);
+    }
+  }
+}
+
+TEST(AtpgThreadInvariance, GoldensFromInsideAPoolTask) {
+  ThreadPool pool(4);
+  for (const AtpgGolden& golden : kAtpgGoldens) {
+    SCOPED_TRACE(golden.file);
+    Session session = golden_session(golden);
+    const AtpgResult result =
+        pool.submit([&] {
+              return run_atpg(session.frame(), session.faults(), golden_options(), &pool);
+            })
+            .get();
+    expect_golden(result, golden);
+  }
+}
+
+/// A search that throws is rethrown when the committer reaches its target,
+/// as the serial loop would throw there: the latch-loop netlist of
+/// Podem.BacktraceLoopThroughLatchThrows, every fault left to PODEM.
+TEST(AtpgThreadInvariance, SearchErrorIsRethrownAtItsTarget) {
+  Netlist nl;
+  const NetId a = nl.add_input("a");
+  const NetId q = nl.add_net("q");
+  const NetId y = nl.n_and(q, a);
+  nl.add_cell_bound(CellType::LatchL, {y, a}, q);
+  nl.add_output("y", y);
+  const CombinationalFrame frame(nl);
+  const std::vector<Fault> faults = enumerate_faults(nl);
+  AtpgOptions options;
+  options.random_patterns = 0;
+  const auto message = [&](ThreadPool* pool) {
+    try {
+      run_atpg(frame, faults, options, pool);
+    } catch (const Error& error) {
+      return std::string(error.what());
+    }
+    return std::string("no error");
+  };
+  const std::string serial = message(nullptr);
+  EXPECT_NE(serial.find("X loop"), std::string::npos) << serial;
+  for (const unsigned threads : {2u, 4u}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(message(&pool), serial);
+  }
+}
+
+/// generate() is search() then fill(): the same result, and the same number
+/// of draws from the stream, since fills are what the committer of a
+/// parallel run draws on its own.
+TEST(Podem, GenerateIsSearchThenFill) {
+  Session session = golden_session(kAtpgGoldens[4]);  // s27 in the wrap: untestables and aborts
+  const CombinationalFrame& frame = session.frame();
+  Podem generating(frame, 300);
+  Podem searching(frame, 300);
+  Rng generate_rng(9);
+  Rng fill_rng(9);
+  std::size_t successes = 0;
+  std::size_t failures = 0;
+  for (const Fault& fault : session.faults()) {
+    const PodemResult generated = generating.generate(fault, generate_rng);
+    PodemSearch found = searching.search(fault);
+    EXPECT_TRUE(found.result.pattern.empty());
+    if (found.result.success) {
+      EXPECT_EQ(found.cube.size(), frame.pattern_width());
+      found.result.pattern = Podem::fill(found.cube, fill_rng);
+      ++successes;
+    } else {
+      ++failures;
+    }
+    ASSERT_EQ(generated, found.result) << fault_name(session.netlist(), fault);
+  }
+  EXPECT_GT(successes, 0u);
+  EXPECT_GT(failures, 0u);
+  EXPECT_EQ(generate_rng.next_u64(), fill_rng.next_u64());
 }
 
 /// Manufacturing test through real scan chains: ATPG patterns applied
