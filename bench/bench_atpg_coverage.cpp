@@ -15,7 +15,7 @@
 // paths are timed against scalar baselines (one pattern per pass / one
 // pattern per scan load) and both throughputs land in BENCH_atpg.json,
 // plus the multi-threaded variants (fault list / pattern batches sharded
-// over the work-stealing pool) which must reproduce the 1-thread results
+// over the pool) which must reproduce the 1-thread results
 // bit-for-bit.
 
 #include <algorithm>
@@ -233,6 +233,44 @@ int main() {
     json.set("scaling_efficiency" + suffix, efficiency);
   }
 
+  // --- the same curve on 4096 random patterns (ungated) -------------------
+  // ATPG's compacted set above fits in one lane block, so its curve mostly
+  // times dispatch overhead. A fixed seeded set of 4096 patterns (16 lane
+  // blocks at the default lane width) gives each point real grading work;
+  // its keys sit beside the gated ones. Results must match the 1-thread
+  // grade per point.
+  bench::header("Fault-simulation thread scaling curve, 4096 random patterns");
+  constexpr std::size_t kRandomPatterns = 4096;
+  Rng pattern_rng(2024);
+  std::vector<BitVec> random_patterns;
+  random_patterns.reserve(kRandomPatterns);
+  for (std::size_t i = 0; i < kRandomPatterns; ++i) {
+    random_patterns.push_back(pattern_rng.next_bits(frame.pattern_width()));
+  }
+  timer.restart();
+  const FaultSimResult random_serial =
+      fault_simulate(frame, faults, random_patterns, serial_pool);
+  const double random_serial_time = timer.seconds();
+  bool random_matches = true;
+  for (const unsigned n : {1u, 2u, 4u, 8u}) {
+    ThreadPool curve_pool(n);
+    timer.restart();
+    const FaultSimResult curve_sim =
+        fault_simulate(frame, faults, random_patterns, curve_pool);
+    const double curve_time = timer.seconds();
+    random_matches = random_matches && curve_sim.detected_by == random_serial.detected_by;
+    const double speedup = random_serial_time / curve_time;
+    const double efficiency = speedup / static_cast<double>(n);
+    std::cout << n << " thread(s): " << curve_time << " s, speedup " << speedup
+              << "x, efficiency " << efficiency << "\n";
+    const std::string suffix = "_t" + std::to_string(n);
+    json.set("faultsim_random_speedup" + suffix, speedup);
+    json.set("faultsim_random_efficiency" + suffix, efficiency);
+  }
+  std::cout << random_serial.detected << "/" << random_serial.total_faults
+            << " detected, results " << (random_matches ? "identical" : "DIVERGED")
+            << "\n";
+
   // --- complete ATPG: speculative PODEM on the pool vs a 1-thread pool ----
   // The headline run's options on both sides, best of interleaved
   // repetitions. PODEM commits in fault order and X-fills at commit, so
@@ -304,7 +342,7 @@ int main() {
   const bool ok = atpg.coverage() > 0.90 && scalar_applied.all_passed() &&
                   packed_applied.all_passed() && pooled_applied.all_passed() &&
                   pooled_applied.patterns_applied == packed_applied.patterns_applied &&
-                  pooled_matches && scaling_matches && podem_matches && atpg_pool_matches &&
+                  pooled_matches && scaling_matches && random_matches && podem_matches && atpg_pool_matches &&
                   packed_detects == scalar_detects &&
                   faultsim_speedup >= 10.0 && delivery_speedup >= 10.0;
   json.set("pass", ok ? 1.0 : 0.0);

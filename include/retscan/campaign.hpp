@@ -50,7 +50,7 @@ enum class Backend {
   Reference,      ///< validation/scan-test: scalar oracle, one trial/pattern
                   ///< at a time; coverage kinds: the sharded simulator on
                   ///< one thread
-  PackedParallel, ///< 64-way lanes × work-stealing thread pool (threads = 1
+  PackedParallel, ///< 64-way lanes × the shared thread pool (threads = 1
                   ///< is the serial packed path)
 };
 
@@ -224,7 +224,9 @@ CampaignResult run(Session& session, const CampaignSpec& spec);
 
 /// Execution hooks for services embedding the campaign router — the
 /// `retscan serve` daemon runs every job through these so concurrent
-/// campaigns share one pool fairly and stay individually cancellable.
+/// campaigns share one runner's pool and stay individually cancellable.
+/// The pool itself interleaves concurrent campaigns fairly: each
+/// parallel_for call gets the next free worker in round-robin turn.
 /// All optional; run(session, spec) is exactly run(session, spec, {}).
 /// None of the hooks can change campaign statistics: same seed → same
 /// results, hooked or not (asserted by tests/test_serve.cpp).
@@ -236,9 +238,6 @@ struct RunHooks {
   /// carries deadline_ms, run() arms it on this token. nullptr → run()
   /// uses a private token (global-cancel + deadline only).
   CancelToken* cancel = nullptr;
-  /// Fair shard dispatcher (parallel/fair_scheduler.hpp) multiplexing this
-  /// campaign with others on the same pool. Must wrap hooks.runner's pool.
-  parallel::FairScheduler* scheduler = nullptr;
   /// Per-shard progress observer, (shards_done, shard_count); called from
   /// pool threads. Sharded validation kinds only.
   std::function<void(std::size_t, std::size_t)> progress;

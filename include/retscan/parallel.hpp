@@ -2,7 +2,8 @@
 
 /// retscan v2 public surface — parallel orchestration layer.
 ///
-/// The work-stealing thread pool and the shard-map-reduce campaign runner
+/// The thread pool (one fair dispatcher for tasks and parallel_for calls)
+/// and the shard-map-reduce campaign runner
 /// the pooled backends are built on. A Session owns one runner and routes
 /// CampaignSpec workloads through it automatically; include this directly
 /// only to drive custom map-reduce workloads by hand. Same seed → same

@@ -100,7 +100,7 @@ class Session {
   /// Scalar retention-session driver over the shared design (built on
   /// first use) — for hand-driven sleep/wake episodes.
   RetentionSession& retention();
-  /// Campaign orchestrator owning the work-stealing pool (built on first
+  /// Campaign orchestrator owning the thread pool (built on first
   /// use with the session's thread count).
   parallel::CampaignRunner& runner();
   ThreadPool& pool() { return runner().pool(); }

@@ -513,7 +513,6 @@ void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
       }
       parallel::RunControls controls;
       controls.cancel = cancel;
-      controls.scheduler = hooks.scheduler;
       controls.progress = hooks.progress;
       std::unique_ptr<CampaignJournal> journal;
       if (!spec.checkpoint.empty()) {

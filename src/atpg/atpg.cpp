@@ -102,7 +102,10 @@ void search_ahead(Speculation& state) {
 }
 
 /// Stops the tasks that have not started and waits out the running ones,
-/// on every exit from phase 2 (a rethrown search error included).
+/// on every exit from phase 2 (a rethrown search error included). The
+/// slots are freed here too, on the committer's thread: a task that starts
+/// later may hold the last reference to the state, and must not be the one
+/// to destroy a search error the caller is still reading.
 class Drain {
  public:
   explicit Drain(Speculation& state) : state_(state) {}
@@ -112,6 +115,7 @@ class Drain {
     std::unique_lock<std::mutex> lock(state_.mutex);
     state_.stop = true;
     state_.finished.wait(lock, [this] { return state_.running == 0; });
+    state_.slots.clear();
     state_.idle.clear();
   }
 

@@ -4,7 +4,6 @@
 #include <mutex>
 #include <optional>
 
-#include "parallel/fair_scheduler.hpp"
 #include "sim/packed_sim.hpp"
 #include "util/failpoint.hpp"
 #include "util/journal.hpp"
@@ -105,7 +104,7 @@ struct CampaignRunner::WorkspacePool {
 };
 
 CampaignRunner::CampaignRunner(const CampaignOptions& options)
-    : options_(options), pool_(options.threads),
+    : pool_(options.threads),
       workspaces_(std::make_unique<WorkspacePool>()) {}
 
 CampaignRunner::~CampaignRunner() = default;
@@ -229,14 +228,10 @@ CampaignReport run_campaign(CampaignRunner& runner, const ValidationConfig& conf
     partial[s] = outcome;
     note_progress();
   };
-  // The cancel token is deliberately NOT handed to the dispatcher: the body
+  // The cancel token is deliberately NOT handed to parallel_for: the body
   // must still run for every shard so journal-resumed outcomes merge even
   // under cancellation; the body's own poll skips the actual work.
-  if (controls.scheduler != nullptr) {
-    controls.scheduler->run_job(shards.size(), shard_body);
-  } else {
-    runner.pool().parallel_for(shards.size(), shard_body);
-  }
+  runner.pool().parallel_for(shards.size(), shard_body);
 
   ShardOutcome merged;
   std::size_t completed = 0;
@@ -289,7 +284,7 @@ CampaignReport CampaignRunner::run_fast(const ValidationConfig& config,
                                         std::size_t count, std::size_t shard_size,
                                         const RunControls& controls) {
   if (shard_size == 0) {
-    shard_size = options_.shard_size;
+    shard_size = kBehavioralShardSize;
   }
   return run_campaign(*this, config, count, shard_size, controls,
                       [this](const ValidationConfig& shard_config, std::size_t n) {
@@ -303,7 +298,7 @@ CampaignReport CampaignRunner::run_structural_packed(const ValidationConfig& con
                                                      std::size_t shard_size,
                                                      const RunControls& controls) {
   if (shard_size == 0) {
-    shard_size = options_.structural_shard_size;
+    shard_size = kStructuralShardSize;
   }
   const std::size_t lanes = PackedSim::lane_count();
   shard_size = (shard_size + lanes - 1) / lanes * lanes;

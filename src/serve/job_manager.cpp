@@ -59,8 +59,7 @@ JobRecord job_from_json(const Json& json) {
 
 JobManager::JobManager(const ServeOptions& options)
     : options_(options),
-      runner_(parallel::CampaignOptions{options.threads, 4096, 256}),
-      scheduler_(runner_.pool()),
+      runner_(parallel::CampaignOptions{options.threads}),
       sessions_(options.session_capacity) {
   if (!options_.cache_dir.empty()) {
     artifacts_ = std::make_shared<CompiledArtifactStore>(options_.cache_dir);
@@ -252,7 +251,6 @@ void JobManager::execute(Job& job) {
     RunHooks hooks;
     hooks.runner = &runner_;
     hooks.cancel = &job.token;
-    hooks.scheduler = &scheduler_;
     hooks.progress = [this, &job](std::size_t done, std::size_t total) {
       const std::lock_guard<std::mutex> lock(mutex_);
       job.shards_done = done;

@@ -22,6 +22,38 @@ std::size_t chain_length_for(const ValidationConfig& config) {
 std::uint64_t injector_seed(const ValidationConfig& config) {
   return Rng::derive_stream(config.seed, 0x494e4a4543544full);  // "INJECTO"
 }
+
+/// One sequence's contribution to the campaign statistics — the one tally
+/// every testbench tier shares. `errors` is the number of injected upsets;
+/// the monitor escalates to ErrorFlagged exactly when it detected errors and
+/// the recheck did not come back clean, which is what flagged_uncorrectable
+/// counts.
+void tally(ValidationStats& stats, std::size_t errors, bool detected,
+           bool recheck_clean, bool matches) {
+  ++stats.sequences;
+  stats.errors_injected += errors;
+  if (errors != 0) {
+    ++stats.sequences_with_errors;
+    if (detected) {
+      ++stats.detected;
+    }
+    if (matches && recheck_clean) {
+      ++stats.corrected;
+    }
+    if (detected && !recheck_clean) {
+      ++stats.flagged_uncorrectable;
+    }
+    if (!matches) {
+      ++stats.comparator_mismatches;
+      if (!detected) {
+        ++stats.silent_corruptions;
+      }
+    }
+  } else if (!matches) {
+    ++stats.comparator_mismatches;
+    ++stats.silent_corruptions;
+  }
+}
 }  // namespace
 
 FastTestbench::FastTestbench(const ValidationConfig& config)
@@ -105,29 +137,7 @@ ValidationStats FastTestbench::run(std::size_t count) {
     // Stage 5: Comparator reads FIFO_A and FIFO_B.
     const bool matches = fifo_a == fifo_b;
 
-    ++stats.sequences;
-    stats.errors_injected += errors.size();
-    if (!errors.empty()) {
-      ++stats.sequences_with_errors;
-      if (detected) {
-        ++stats.detected;
-      }
-      if (matches && recheck_clean) {
-        ++stats.corrected;
-      }
-      if (detected && !recheck_clean) {
-        ++stats.flagged_uncorrectable;
-      }
-      if (!matches) {
-        ++stats.comparator_mismatches;
-        if (!detected) {
-          ++stats.silent_corruptions;
-        }
-      }
-    } else if (!matches) {
-      ++stats.comparator_mismatches;
-      ++stats.silent_corruptions;
-    }
+    tally(stats, errors.size(), detected, recheck_clean, matches);
   }
   return stats;
 }
@@ -277,29 +287,7 @@ ValidationStats StructuralTestbench::run_packed(std::size_t count) {
       const bool detected = (outcome.errors_detected >> lane & 1u) != 0;
       const bool recheck_clean = (outcome.recheck_clean >> lane & 1u) != 0;
       const bool matches = (mismatch >> lane & 1u) == 0;
-      ++stats.sequences;
-      stats.errors_injected += upsets[lane].size();
-      if (!upsets[lane].empty()) {
-        ++stats.sequences_with_errors;
-        if (detected) {
-          ++stats.detected;
-        }
-        if (matches && recheck_clean) {
-          ++stats.corrected;
-        }
-        if (detected && !recheck_clean) {
-          ++stats.flagged_uncorrectable;
-        }
-        if (!matches) {
-          ++stats.comparator_mismatches;
-          if (!detected) {
-            ++stats.silent_corruptions;
-          }
-        }
-      } else if (!matches) {
-        ++stats.comparator_mismatches;
-        ++stats.silent_corruptions;
-      }
+      tally(stats, upsets[lane].size(), detected, recheck_clean, matches);
     }
   }
   return stats;
@@ -351,29 +339,8 @@ ValidationStats StructuralTestbench::run(std::size_t count) {
     }
     sim.set_input("rd_en", false);
 
-    ++stats.sequences;
-    stats.errors_injected += errors.size();
-    if (!errors.empty()) {
-      ++stats.sequences_with_errors;
-      if (outcome.errors_detected) {
-        ++stats.detected;
-      }
-      if (matches && outcome.recheck_clean) {
-        ++stats.corrected;
-      }
-      if (outcome.final_state == PgState::ErrorFlagged) {
-        ++stats.flagged_uncorrectable;
-      }
-      if (!matches) {
-        ++stats.comparator_mismatches;
-        if (!outcome.errors_detected) {
-          ++stats.silent_corruptions;
-        }
-      }
-    } else if (!matches) {
-      ++stats.comparator_mismatches;
-      ++stats.silent_corruptions;
-    }
+    tally(stats, errors.size(), outcome.errors_detected, outcome.recheck_clean,
+          matches);
     // Fresh sleep episode next sequence.
     session_->reset_fsm();
   }

@@ -1,5 +1,7 @@
 #include "util/thread_pool.hpp"
 
+#include <exception>
+
 #include "retscan/runtime.hpp"
 #include "util/cancel.hpp"
 #include "util/failpoint.hpp"
@@ -11,6 +13,20 @@ namespace {
 /// parallel_for calls inline instead of deadlocking a worker on itself.
 thread_local const ThreadPool* tl_pool = nullptr;
 }  // namespace
+
+struct ThreadPool::Job {
+  const std::function<void(std::size_t)>& body;
+  const CancelToken* cancel;
+  std::size_t count;
+  std::size_t next = 0;  ///< next body index to hand out
+  std::size_t unfinished = count;  ///< bodies not yet finished or skipped
+  bool abandoned = false;  ///< a body threw: skip the rest
+  /// Lowest body index that threw, and its exception — campaigns report the
+  /// first failing shard deterministically, not whichever worker's throw
+  /// won the wall-clock race.
+  std::size_t error_index = count;
+  std::exception_ptr error{};
+};
 
 bool ThreadPool::on_worker_thread() const {
   return tl_pool == this;
@@ -26,95 +42,111 @@ ThreadPool::ThreadPool(unsigned threads) {
   const unsigned count = threads == 0 ? default_thread_count() : threads;
   workers_.reserve(count);
   for (unsigned i = 0; i < count; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
-  for (unsigned i = 0; i < count; ++i) {
-    workers_[i]->thread = std::thread([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    std::lock_guard<std::mutex> lock(idle_mutex_);
-    stop_.store(true, std::memory_order_release);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    stop_ = true;
   }
-  idle_cv_.notify_all();
-  for (auto& worker : workers_) {
-    if (worker->thread.joinable()) {
-      worker->thread.join();
-    }
+  work_cv_.notify_all();
+  for (std::thread& worker : workers_) {
+    worker.join();
   }
 }
 
 void ThreadPool::enqueue(std::function<void()> task) {
   failpoint("pool.dispatch");
-  const std::size_t index =
-      next_queue_.fetch_add(1, std::memory_order_relaxed) % workers_.size();
-  // Increment pending_ BEFORE the task becomes stealable, so a concurrent
-  // pop can never drive the counter below zero; holding idle_mutex_ for the
-  // increment pairs with the cv predicate check so the wakeup can't be
-  // missed. A worker waking between the two blocks spins once harmlessly.
   {
-    std::lock_guard<std::mutex> lock(idle_mutex_);
-    pending_.fetch_add(1, std::memory_order_release);
+    const std::lock_guard<std::mutex> lock(mutex_);
+    tasks_.push_back(std::move(task));
   }
-  {
-    std::lock_guard<std::mutex> lock(workers_[index]->mutex);
-    workers_[index]->queue.push_back(std::move(task));
-  }
-  idle_cv_.notify_one();
+  work_cv_.notify_one();
 }
 
-bool ThreadPool::try_pop(std::size_t index, std::function<void()>& task) {
-  Worker& worker = *workers_[index];
-  std::lock_guard<std::mutex> lock(worker.mutex);
-  if (worker.queue.empty()) {
-    return false;
-  }
-  task = std::move(worker.queue.back());
-  worker.queue.pop_back();
-  pending_.fetch_sub(1, std::memory_order_relaxed);
-  return true;
-}
-
-bool ThreadPool::try_steal(std::size_t thief, std::function<void()>& task) {
-  for (std::size_t hop = 1; hop < workers_.size(); ++hop) {
-    Worker& victim = *workers_[(thief + hop) % workers_.size()];
-    std::lock_guard<std::mutex> lock(victim.mutex);
-    if (!victim.queue.empty()) {
-      task = std::move(victim.queue.front());
-      victim.queue.pop_front();
-      pending_.fetch_sub(1, std::memory_order_relaxed);
-      return true;
+/// Hands out the next body, round-robin across the open calls; nullptr when
+/// none has a body left. A cancelled or abandoned call has its remaining
+/// bodies skipped here, and a call leaves jobs_ once its last body is
+/// handed out or skipped.
+ThreadPool::Job* ThreadPool::claim_locked(std::size_t& index) {
+  while (!jobs_.empty()) {
+    next_job_ %= jobs_.size();
+    Job& job = *jobs_[next_job_];
+    const bool skip =
+        job.abandoned || (job.cancel != nullptr && job.cancel->cancelled());
+    if (skip) {
+      job.unfinished -= job.count - job.next;
+      job.next = job.count;
+      if (job.unfinished == 0) {
+        done_cv_.notify_all();
+      }
+    } else {
+      index = job.next++;
+    }
+    if (job.next == job.count) {
+      jobs_.erase(jobs_.begin() + static_cast<std::ptrdiff_t>(next_job_));
+    } else {
+      ++next_job_;
+    }
+    if (!skip) {
+      return &job;
     }
   }
-  return false;
+  return nullptr;
 }
 
-void ThreadPool::worker_loop(std::size_t index) {
+void ThreadPool::worker_loop() {
   tl_pool = this;
-  std::function<void()> task;
+  std::unique_lock<std::mutex> lock(mutex_);
   for (;;) {
-    if (try_pop(index, task) || try_steal(index, task)) {
+    if (!tasks_.empty()) {
+      std::function<void()> task = std::move(tasks_.front());
+      tasks_.pop_front();
+      lock.unlock();
       try {
         task();
       } catch (...) {
-        // enqueue() tasks are documented non-throwing; submit()/parallel_for()
-        // wrappers capture their own exceptions. Swallow rather than
-        // std::terminate so one misbehaved task cannot take the pool down.
+        // enqueue() tasks are documented non-throwing; submit() captures its
+        // own exceptions. Swallow rather than std::terminate so one
+        // misbehaved task cannot take the pool down.
       }
       task = nullptr;
+      lock.lock();
       continue;
     }
-    std::unique_lock<std::mutex> lock(idle_mutex_);
-    idle_cv_.wait(lock, [this] {
-      return stop_.load(std::memory_order_acquire) ||
-             pending_.load(std::memory_order_acquire) > 0;
-    });
-    if (stop_.load(std::memory_order_acquire) &&
-        pending_.load(std::memory_order_acquire) == 0) {
+    std::size_t index = 0;
+    if (Job* job = claim_locked(index)) {
+      lock.unlock();
+      // The failpoint fires as the body is handed out; a throw there is
+      // that body's failure, settled like any other.
+      std::exception_ptr error;
+      try {
+        failpoint("pool.dispatch");
+        job->body(index);
+      } catch (...) {
+        error = std::current_exception();
+      }
+      lock.lock();
+      if (error) {
+        job->abandoned = true;
+        if (index < job->error_index) {
+          job->error_index = index;
+          job->error = error;
+        }
+      }
+      // Settled under the lock: the caller cannot return (and pop its Job
+      // off its stack) until this worker is done touching it.
+      if (--job->unfinished == 0) {
+        done_cv_.notify_all();
+      }
+      continue;
+    }
+    if (stop_) {
       return;
     }
+    work_cv_.wait(lock);
   }
 }
 
@@ -137,66 +169,14 @@ void ThreadPool::parallel_for(std::size_t count,
     return;
   }
 
-  struct State {
-    std::mutex mutex;
-    std::condition_variable done;
-    std::size_t remaining;
-    /// One body threw: bodies that have not started yet are skipped (they
-    /// still drain `remaining`, so the wait below always completes).
-    std::atomic<bool> abandoned{false};
-    /// Lowest body index that threw, and its exception — campaigns report
-    /// the first failing shard deterministically, not whichever worker's
-    /// throw won the wall-clock race.
-    std::size_t error_index;
-    std::exception_ptr error;
-  };
-  auto state = std::make_shared<State>();
-  state->remaining = count;
-  state->error_index = count;
-
-  std::size_t enqueued = 0;
-  std::exception_ptr dispatch_error;
-  for (std::size_t i = 0; i < count; ++i) {
-    auto task = [state, i, &body, cancel] {
-      if (!state->abandoned.load(std::memory_order_relaxed) &&
-          (cancel == nullptr || !cancel->cancelled())) {
-        try {
-          body(i);
-        } catch (...) {
-          std::lock_guard<std::mutex> lock(state->mutex);
-          state->abandoned.store(true, std::memory_order_relaxed);
-          if (i < state->error_index) {
-            state->error_index = i;
-            state->error = std::current_exception();
-          }
-        }
-      }
-      std::lock_guard<std::mutex> lock(state->mutex);
-      if (--state->remaining == 0) {
-        state->done.notify_all();
-      }
-    };
-    try {
-      enqueue(std::move(task));
-    } catch (...) {
-      // Dispatch itself failed (allocation, pool.dispatch failpoint): stop
-      // submitting, settle the count for the tasks that will never run, and
-      // report after the ones already in flight drain — never deadlock.
-      dispatch_error = std::current_exception();
-      state->abandoned.store(true, std::memory_order_relaxed);
-      break;
-    }
-    ++enqueued;
-  }
-
-  std::unique_lock<std::mutex> lock(state->mutex);
-  state->remaining -= count - enqueued;
-  state->done.wait(lock, [&] { return state->remaining == 0; });
-  if (state->error) {
-    std::rethrow_exception(state->error);
-  }
-  if (dispatch_error) {
-    std::rethrow_exception(dispatch_error);
+  Job job{body, cancel, count};
+  std::unique_lock<std::mutex> lock(mutex_);
+  jobs_.push_back(&job);
+  work_cv_.notify_all();
+  done_cv_.wait(lock, [&job] { return job.unfinished == 0; });
+  lock.unlock();
+  if (job.error) {
+    std::rethrow_exception(job.error);
   }
 }
 

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <deque>
@@ -16,13 +15,14 @@ namespace retscan {
 
 class CancelToken;
 
-/// Small work-stealing thread pool: one task deque per worker, owners pop
-/// from the back (LIFO, cache-warm), thieves steal from the front (FIFO,
-/// oldest work first). This is the execution substrate of the
-/// retscan::parallel campaign layer — shards of a statistical campaign are
-/// submitted as independent tasks and idle workers steal from loaded ones,
-/// so uneven shard costs (e.g. fault shards with early drops) still fill
-/// every core.
+/// The library's one dispatcher: a fixed set of workers pulling work from
+/// one place. A free worker takes, in order, the oldest plain task
+/// (enqueue/submit — FIFO), else the next body of an open parallel_for
+/// call, round-robin across every call currently in flight. Concurrent
+/// callers (the serve daemon's campaigns, a coverage grader next to a
+/// validation campaign) therefore interleave body-for-body: a call already
+/// running is never starved by a later, larger one. Bodies are claimed
+/// only by free workers, so at most size() bodies run at once.
 ///
 /// Determinism note: the pool schedules; it never sequences results. All
 /// campaign-level reductions happen in shard order outside the pool, so
@@ -55,21 +55,20 @@ class ThreadPool {
   }
 
   /// Run body(0) .. body(count-1) across the pool and block until every
-  /// submitted body has finished or been skipped (the pool is always left
-  /// clean — no deadlock, no orphaned tasks). A throwing body cancels the
-  /// bodies that have not started yet, and of the bodies that did throw,
-  /// the one with the LOWEST index is rethrown here — deterministic by
-  /// shard id, never by wall clock. If `cancel` is non-null, bodies are
-  /// likewise skipped once the token reports cancelled (no exception: the
-  /// caller owns the token and inspects it). Runs inline when called from a
-  /// pool worker (no nested deadlock) or when the pool is effectively
-  /// serial, with the same skip-after-error/cancel semantics.
+  /// body has finished or been skipped. A throwing body skips the bodies
+  /// that have not started yet, and of the bodies that did throw, the one
+  /// with the LOWEST index is rethrown here — deterministic by shard id,
+  /// never by wall clock. If `cancel` is non-null, bodies are likewise
+  /// skipped once the token reports cancelled (no exception: the caller
+  /// owns the token and inspects it). Runs inline when called from a pool
+  /// worker (no nested deadlock), on a 1-thread pool or for count == 1,
+  /// with the same skip-after-error/cancel semantics.
   void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
                     const CancelToken* cancel = nullptr);
 
   /// True when the calling thread is one of this pool's workers — callers
-  /// that would block waiting on pool tasks (parallel_for, FairScheduler)
-  /// must run inline instead, or a worker deadlocks waiting on itself.
+  /// that would block waiting on pool work must run inline instead, or a
+  /// worker deadlocks waiting on itself.
   bool on_worker_thread() const;
 
   /// RETSCAN_THREADS env override (strictly parsed), else
@@ -77,22 +76,20 @@ class ThreadPool {
   static unsigned default_thread_count();
 
  private:
-  struct Worker {
-    std::deque<std::function<void()>> queue;
-    std::mutex mutex;
-    std::thread thread;
-  };
+  /// One open parallel_for call; lives on its caller's stack.
+  struct Job;
 
-  bool try_pop(std::size_t index, std::function<void()>& task);
-  bool try_steal(std::size_t thief, std::function<void()>& task);
-  void worker_loop(std::size_t index);
+  Job* claim_locked(std::size_t& index);
+  void worker_loop();
 
-  std::vector<std::unique_ptr<Worker>> workers_;
-  std::mutex idle_mutex_;
-  std::condition_variable idle_cv_;
-  std::atomic<std::size_t> pending_{0};
-  std::atomic<std::size_t> next_queue_{0};
-  std::atomic<bool> stop_{false};
+  std::mutex mutex_;
+  std::condition_variable work_cv_;  ///< wakes workers
+  std::condition_variable done_cv_;  ///< wakes parallel_for callers
+  std::deque<std::function<void()>> tasks_;
+  std::vector<Job*> jobs_;  ///< calls with bodies left to hand out
+  std::size_t next_job_ = 0;  ///< round-robin cursor into jobs_
+  bool stop_ = false;
+  std::vector<std::thread> workers_;  ///< last: workers use every member above
 };
 
 }  // namespace retscan

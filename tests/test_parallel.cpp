@@ -1,16 +1,20 @@
-// The retscan::parallel orchestration layer: work-stealing ThreadPool
-// semantics (completion, exception propagation, clean shutdown),
+// The retscan::parallel orchestration layer: ThreadPool semantics
+// (completion, exception propagation, clean shutdown, fair sharing across
+// concurrent parallel_for callers),
 // deterministic shard planning/seeding, and — the load-bearing contract —
 // thread-count invariance: the same campaign seed must produce
 // bit-identical statistics at 1, 2 and 8 threads.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "atpg/fault.hpp"
@@ -133,6 +137,139 @@ TEST(ThreadPool, SerialAndNestedCallsRunInline) {
     });
   });
   EXPECT_EQ(total.load(), 32u);
+}
+
+// Concurrent callers share one pool: every body of every call runs once.
+TEST(ThreadPool, ConcurrentCallersEachRunEveryBodyOnce) {
+  ThreadPool pool(4);
+  constexpr std::size_t kBodies = 64;
+  std::vector<std::atomic<int>> a(kBodies), b(kBodies);
+  std::thread other([&] {
+    pool.parallel_for(kBodies, [&](std::size_t i) { b[i].fetch_add(1); });
+  });
+  pool.parallel_for(kBodies, [&](std::size_t i) { a[i].fetch_add(1); });
+  other.join();
+  for (std::size_t i = 0; i < kBodies; ++i) {
+    EXPECT_EQ(a[i].load(), 1) << i;
+    EXPECT_EQ(b[i].load(), 1) << i;
+  }
+}
+
+// A throwing call skips its own unstarted bodies and rethrows, while a
+// concurrent call on the same pool runs in full; the pool stays usable.
+TEST(ThreadPool, ThrowingCallLeavesConcurrentCallerWhole) {
+  ThreadPool pool(2);
+  std::atomic<int> ran{0};
+  std::atomic<int> bystander{0};
+  std::thread other([&] {
+    pool.parallel_for(200, [&](std::size_t) { bystander.fetch_add(1); });
+  });
+  try {
+    pool.parallel_for(100, [&](std::size_t i) {
+      if (i == 3) {
+        throw Error("shard exploded");
+      }
+      ran.fetch_add(1);
+    });
+    FAIL() << "expected the body's exception";
+  } catch (const Error& error) {
+    EXPECT_STREQ(error.what(), "shard exploded");
+  }
+  other.join();
+  EXPECT_LT(ran.load(), 100);
+  EXPECT_EQ(bystander.load(), 200);
+  std::atomic<int> again{0};
+  pool.parallel_for(10, [&](std::size_t) { again.fetch_add(1); });
+  EXPECT_EQ(again.load(), 10);
+}
+
+// A token cancelled mid-call skips the bodies not yet started; a
+// concurrent call without a token is unaffected.
+TEST(ThreadPool, CancelledTokenSkipsOnlyItsOwnCall) {
+  ThreadPool pool(2);
+  CancelToken token;
+  std::atomic<int> ran{0};
+  std::atomic<int> bystander{0};
+  std::thread other([&] {
+    pool.parallel_for(200, [&](std::size_t) { bystander.fetch_add(1); });
+  });
+  pool.parallel_for(
+      1000,
+      [&](std::size_t) {
+        token.request_cancel();
+        ran.fetch_add(1);
+      },
+      &token);
+  other.join();
+  EXPECT_GT(ran.load(), 0);
+  EXPECT_LT(ran.load(), 1000);
+  EXPECT_EQ(bystander.load(), 200);
+}
+
+// Fairness: a call already in flight is not starved by a later, larger
+// one. Call A runs 8 bodies of 2 ms on 2 workers; call B (40 short bodies)
+// starts once A's first body has. Workers take the open calls' bodies in
+// turn, so only a handful of B's bodies may start before A's last does —
+// never most of them, in any trial.
+TEST(ThreadPool, LaterCallDoesNotStarveCallInFlight) {
+  constexpr std::size_t kLong = 8;
+  constexpr std::size_t kShort = 40;
+  constexpr int kTrials = 10;
+  ThreadPool pool(2);
+  for (int trial = 0; trial < kTrials; ++trial) {
+    std::atomic<std::size_t> clock{0};
+    std::atomic<bool> a_started{false};
+    std::vector<std::size_t> a_start(kLong), b_start(kShort);
+    std::thread first([&] {
+      pool.parallel_for(kLong, [&](std::size_t i) {
+        a_start[i] = clock.fetch_add(1);
+        a_started.store(true);
+        std::this_thread::sleep_for(std::chrono::milliseconds(2));
+      });
+    });
+    while (!a_started.load()) {
+      std::this_thread::yield();
+    }
+    pool.parallel_for(kShort,
+                      [&](std::size_t i) { b_start[i] = clock.fetch_add(1); });
+    first.join();
+    std::size_t a_last = 0;
+    for (const std::size_t tick : a_start) {
+      a_last = std::max(a_last, tick);
+    }
+    std::size_t overtook = 0;
+    for (const std::size_t tick : b_start) {
+      overtook += tick < a_last ? 1 : 0;
+    }
+    EXPECT_LT(overtook, kShort / 2) << "trial " << trial;
+  }
+}
+
+// The pool.dispatch failpoint fires as a body is handed out: the throw is
+// that body's failure, parallel_for rethrows it without deadlocking, and
+// the next call runs in full.
+TEST(ThreadPool, DispatchFailpointFailsTheCallAndPoolSurvives) {
+  ThreadPool pool(4);
+  ::setenv("RETSCAN_FAILPOINTS", "pool.dispatch=throw@5", 1);
+  failpoints_refresh();
+  std::atomic<std::size_t> ran{0};
+  try {
+    pool.parallel_for(64, [&](std::size_t) {
+      ran.fetch_add(1, std::memory_order_relaxed);
+    });
+    ADD_FAILURE() << "expected the failpoint's exception";
+  } catch (const Error& error) {
+    EXPECT_STREQ(error.what(), "failpoint pool.dispatch");
+  }
+  ::unsetenv("RETSCAN_FAILPOINTS");
+  failpoints_refresh();
+  EXPECT_LT(ran.load(), 64u);
+
+  std::atomic<std::size_t> again{0};
+  pool.parallel_for(64, [&](std::size_t) {
+    again.fetch_add(1, std::memory_order_relaxed);
+  });
+  EXPECT_EQ(again.load(), 64u);
 }
 
 TEST(ShardPlan, CoversTotalExactlyOnceIndependentOfThreads) {
