@@ -7,6 +7,7 @@
 
 #include <cstring>
 
+#include "serve/protocol.hpp"
 #include "util/error.hpp"
 
 namespace retscan::serve {
@@ -15,20 +16,10 @@ Client::Client(const std::string& socket_path) : socket_path_(socket_path) {
   if (socket_path.size() >= sizeof(sockaddr_un{}.sun_path)) {
     throw Error("socket path too long: '" + socket_path + "'");
   }
-  fd_ = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  fd_ = connect_socket(socket_path);
   if (fd_ < 0) {
-    throw Error(std::string("socket: ") + std::strerror(errno));
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, socket_path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd_, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    const int connect_errno = errno;
-    ::close(fd_);
-    fd_ = -1;
     throw Error("no retscan daemon at '" + socket_path +
-                "' (connect: " + std::strerror(connect_errno) +
+                "' (connect: " + std::strerror(errno) +
                 "); start one with `retscan serve`");
   }
 }
@@ -40,18 +31,8 @@ Client::~Client() {
 }
 
 void Client::send(const Json& request) {
-  const std::string line = request.dump() + "\n";
-  std::size_t sent = 0;
-  while (sent < line.size()) {
-    const ssize_t n =
-        ::send(fd_, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      throw Error("daemon connection lost while sending");
-    }
-    sent += static_cast<std::size_t>(n);
+  if (!send_line(fd_, request)) {
+    throw Error("daemon connection lost while sending");
   }
 }
 

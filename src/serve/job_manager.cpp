@@ -1,5 +1,6 @@
 #include "serve/job_manager.hpp"
 
+#include <algorithm>
 #include <chrono>
 #include <utility>
 
@@ -83,11 +84,8 @@ std::uint64_t JobManager::submit(const std::string& spec_path,
     throw Error("daemon is draining; not accepting new jobs");
   }
   const std::uint64_t id = next_id_++;
-  auto job = std::make_unique<Job>();
-  job->id = id;
-  job->spec_path = spec_path;
-  job->overrides = overrides;
-  jobs_.emplace(id, std::move(job));
+  jobs_.emplace(id, std::make_shared<Job>(Job{
+                        JobRecord{.id = id, .spec_path = spec_path}, overrides}));
   queue_.push_back(id);
   work_cv_.notify_one();
   return id;
@@ -100,13 +98,12 @@ bool JobManager::cancel(std::uint64_t id) {
     return false;
   }
   Job& job = *it->second;
-  if (job.state == JobState::Queued) {
+  if (job.record.state == JobState::Queued) {
     // Terminal right here; the driver skips non-queued queue entries.
-    job.state = JobState::Cancelled;
-    done_cv_.notify_all();
+    finish_locked(job, JobState::Cancelled);
     return true;
   }
-  if (job.state == JobState::Running) {
+  if (job.record.state == JobState::Running) {
     // Cooperative: the sharded campaign observes the token at the next
     // shard boundary and returns partial (checkpointed) statistics.
     job.token.request_cancel();
@@ -121,7 +118,7 @@ std::optional<JobRecord> JobManager::status(std::uint64_t id) const {
   if (it == jobs_.end()) {
     return std::nullopt;
   }
-  return snapshot_locked(*it->second);
+  return it->second->record;
 }
 
 std::vector<JobRecord> JobManager::list() const {
@@ -129,30 +126,46 @@ std::vector<JobRecord> JobManager::list() const {
   std::vector<JobRecord> records;
   records.reserve(jobs_.size());
   for (const auto& [id, job] : jobs_) {
-    records.push_back(snapshot_locked(*job));
+    records.push_back(job->record);
   }
   return records;
 }
 
-std::optional<JobRecord> JobManager::wait(std::uint64_t id) {
+std::optional<JobRecord> JobManager::wait(
+    std::uint64_t id, const std::function<bool(const JobRecord&)>& on_change) {
   std::unique_lock<std::mutex> lock(mutex_);
   const auto it = jobs_.find(id);
   if (it == jobs_.end()) {
     return std::nullopt;
   }
-  Job* job = it->second.get();
-  done_cv_.wait(lock, [job] { return is_terminal(job->state); });
-  return snapshot_locked(*job);
+  const std::shared_ptr<const Job> job = it->second;  // outlives eviction
+  const JobRecord& record = job->record;
+  // (state, shards_done) last handed to on_change; nothing seen yet.
+  std::optional<std::pair<JobState, std::uint64_t>> seen;
+  for (;;) {
+    done_cv_.wait(lock, [&] {
+      return is_terminal(record.state) ||
+             (on_change && seen != std::pair(record.state, record.shards_done));
+    });
+    if (is_terminal(record.state)) {
+      return record;
+    }
+    JobRecord now = record;
+    seen.emplace(now.state, now.shards_done);
+    lock.unlock();
+    if (!on_change(now)) {
+      return now;
+    }
+    lock.lock();
+  }
 }
 
 void JobManager::drain() {
   {
-    std::unique_lock<std::mutex> lock(mutex_);
-    draining_ = true;
+    const std::lock_guard<std::mutex> lock(mutex_);
     // Everything already queued still runs — SIGTERM finishes accepted
-    // work; it only refuses new work.
-    done_cv_.wait(lock, [this] { return queue_.empty() && active_ == 0; });
-    stopping_ = true;
+    // work; it only refuses new work. Drivers exit once the queue is empty.
+    draining_ = true;
     work_cv_.notify_all();
   }
   for (std::thread& driver : drivers_) {
@@ -168,53 +181,34 @@ CompiledArtifactStore::Stats JobManager::artifact_stats() const {
                                : CompiledArtifactStore::Stats{};
 }
 
-JobRecord JobManager::snapshot_locked(const Job& job) const {
-  JobRecord record;
-  record.id = job.id;
-  record.spec_path = job.spec_path;
-  record.state = job.state;
-  record.shards_done = job.shards_done;
-  record.shard_count = job.shard_count;
-  record.session_reused = job.session_reused;
-  record.setup_seconds = job.setup_seconds;
-  record.run_seconds = job.run_seconds;
-  record.error = job.error;
-  record.summary = job.summary;
-  return record;
+void JobManager::finish_locked(Job& job, JobState state) {
+  job.record.state = state;
+  finished_.push_back(job.record.id);
+  while (finished_.size() > kFinishedJobsKept) {
+    jobs_.erase(finished_.front());
+    finished_.pop_front();
+  }
+  done_cv_.notify_all();
 }
 
 void JobManager::driver_loop() {
   for (;;) {
-    Job* job = nullptr;
-    {
-      std::unique_lock<std::mutex> lock(mutex_);
-      work_cv_.wait(lock, [this] { return stopping_ || !queue_.empty(); });
-      while (!queue_.empty()) {
-        const std::uint64_t id = queue_.front();
-        queue_.pop_front();
-        Job& candidate = *jobs_.at(id);
-        if (candidate.state == JobState::Queued) {
-          candidate.state = JobState::Running;
-          ++active_;
-          job = &candidate;
-          break;
-        }
-        // Cancelled while queued: already terminal, nothing to run.
-      }
-      if (job == nullptr) {
-        if (stopping_) {
-          return;
-        }
-        done_cv_.notify_all();  // queue emptied by cancelled entries
-        continue;
-      }
+    std::unique_lock<std::mutex> lock(mutex_);
+    work_cv_.wait(lock, [this] { return draining_ || !queue_.empty(); });
+    if (queue_.empty()) {
+      return;  // draining, and everything accepted has run
     }
+    const auto it = jobs_.find(queue_.front());
+    queue_.pop_front();
+    // Cancelled while queued: already terminal (maybe even evicted).
+    if (it == jobs_.end() || it->second->record.state != JobState::Queued) {
+      continue;
+    }
+    const std::shared_ptr<Job> job = it->second;
+    job->record.state = JobState::Running;
+    done_cv_.notify_all();
+    lock.unlock();
     execute(*job);
-    {
-      const std::lock_guard<std::mutex> lock(mutex_);
-      --active_;
-      done_cv_.notify_all();
-    }
   }
 }
 
@@ -223,7 +217,7 @@ void JobManager::execute(Job& job) {
   std::uint64_t key = 0;
   std::unique_ptr<Session> session;
   try {
-    SpecFile file = load_spec_file(job.spec_path);
+    SpecFile file = load_spec_file(job.record.spec_path);
     apply_overrides(file, job.overrides);
     key = session_key(file);
     session = sessions_.checkout(key);
@@ -244,8 +238,8 @@ void JobManager::execute(Job& job) {
     }
     {
       const std::lock_guard<std::mutex> lock(mutex_);
-      job.session_reused = reused;
-      job.setup_seconds = seconds_since(setup_start);
+      job.record.session_reused = reused;
+      job.record.setup_seconds = seconds_since(setup_start);
     }
 
     RunHooks hooks;
@@ -253,8 +247,10 @@ void JobManager::execute(Job& job) {
     hooks.cancel = &job.token;
     hooks.progress = [this, &job](std::size_t done, std::size_t total) {
       const std::lock_guard<std::mutex> lock(mutex_);
-      job.shards_done = done;
-      job.shard_count = total;
+      // Shards settle on several pool threads and may lock out of order.
+      job.record.shards_done = std::max<std::uint64_t>(job.record.shards_done, done);
+      job.record.shard_count = total;
+      done_cv_.notify_all();
     };
 
     const auto run_start = std::chrono::steady_clock::now();
@@ -266,17 +262,17 @@ void JobManager::execute(Job& job) {
     sessions_.checkin(key, std::move(session));
 
     const std::lock_guard<std::mutex> lock(mutex_);
-    job.run_seconds = run_seconds;
-    job.summary = summarize(result, file.campaign);
-    job.shards_done = result.shards_completed;
-    job.shard_count = result.shard_count;
-    job.state = state_for(result.status);
+    job.record.run_seconds = run_seconds;
+    job.record.summary = summarize(result, file.campaign);
+    job.record.shards_done = result.shards_completed;
+    job.record.shard_count = result.shard_count;
+    finish_locked(job, state_for(result.status));
   } catch (const std::exception& error) {
     // Failed: the session (if any) is dropped, not recycled — a campaign
     // that threw may have left it mid-protocol.
     const std::lock_guard<std::mutex> lock(mutex_);
-    job.error = error.what();
-    job.state = JobState::Failed;
+    job.record.error = error.what();
+    finish_locked(job, JobState::Failed);
   }
 }
 

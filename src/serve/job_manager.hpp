@@ -18,10 +18,14 @@
 /// inheriting the CampaignSpec checkpoint/deadline semantics — a
 /// cancelled job with a checkpoint journal resumes bit-exactly. drain()
 /// is the SIGTERM path: stop accepting, finish everything queued, join.
+///
+/// wait() is the one way to wait on a job: `result` blocks in it and
+/// `submit --wait` streams progress events from its on_change callback.
 
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -70,6 +74,10 @@ JobRecord job_from_json(const Json& json);
 
 class JobManager {
  public:
+  /// Terminal job records kept, oldest finished evicted first; queued and
+  /// running jobs are never evicted. An evicted id is unknown.
+  static constexpr std::size_t kFinishedJobsKept = 1024;
+
   explicit JobManager(const ServeOptions& options);
   ~JobManager();  ///< drains (finishes queued + running jobs) and joins
 
@@ -90,8 +98,13 @@ class JobManager {
   std::optional<JobRecord> status(std::uint64_t id) const;
   std::vector<JobRecord> list() const;
 
-  /// Block until the job reaches a terminal state; nullopt if unknown.
-  std::optional<JobRecord> wait(std::uint64_t id);
+  /// Block until the job ends and return its terminal record; nullopt if
+  /// unknown. on_change runs without the lock, once per observed change
+  /// of state or shards_done before then; returning false ends the wait
+  /// with the (non-terminal) record it was given, and the job runs on.
+  std::optional<JobRecord> wait(
+      std::uint64_t id,
+      const std::function<bool(const JobRecord&)>& on_change = {});
 
   /// Stop accepting submissions, run everything already queued to
   /// completion, and join the driver threads. Idempotent; the destructor
@@ -106,23 +119,15 @@ class JobManager {
 
  private:
   struct Job {
-    std::uint64_t id = 0;
-    std::string spec_path;
+    JobRecord record;  ///< guarded by mutex_
     SubmitOverrides overrides;
-    JobState state = JobState::Queued;
     CancelToken token;
-    std::uint64_t shards_done = 0;
-    std::uint64_t shard_count = 0;
-    bool session_reused = false;
-    double setup_seconds = 0.0;
-    double run_seconds = 0.0;
-    std::string error;
-    std::optional<ResultSummary> summary;
   };
 
   void driver_loop();
   void execute(Job& job);
-  JobRecord snapshot_locked(const Job& job) const;
+  /// Publish the terminal state and evict the oldest finished records.
+  void finish_locked(Job& job, JobState state);
 
   ServeOptions options_;
   std::shared_ptr<CompiledArtifactStore> artifacts_;  ///< also installed globally
@@ -131,13 +136,12 @@ class JobManager {
 
   mutable std::mutex mutex_;
   std::condition_variable work_cv_;  ///< wakes drivers
-  std::condition_variable done_cv_;  ///< wakes wait()/drain()
-  std::map<std::uint64_t, std::unique_ptr<Job>> jobs_;
+  std::condition_variable done_cv_;  ///< any job change; wakes wait()
+  std::map<std::uint64_t, std::shared_ptr<Job>> jobs_;  ///< shared with waiters
   std::deque<std::uint64_t> queue_;
+  std::deque<std::uint64_t> finished_;  ///< terminal ids, oldest first
   std::uint64_t next_id_ = 1;
-  std::size_t active_ = 0;
-  bool draining_ = false;  ///< submit() rejects
-  bool stopping_ = false;  ///< drivers exit once the queue is empty
+  bool draining_ = false;  ///< submit() rejects; drivers exit once the queue is empty
   std::vector<std::thread> drivers_;
 };
 

@@ -1,6 +1,12 @@
 #include "serve/protocol.hpp"
 
+#include <errno.h>
+#include <sys/socket.h>
+#include <sys/un.h>
+#include <unistd.h>
+
 #include <cstdlib>
+#include <cstring>
 #include <ostream>
 
 #include "util/fnv.hpp"
@@ -13,6 +19,40 @@ std::string default_socket_path() {
     return env;
   }
   return "retscan.sock";
+}
+
+int connect_socket(const std::string& path) {
+  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
+  if (fd < 0) {
+    return -1;
+  }
+  sockaddr_un addr{};
+  addr.sun_family = AF_UNIX;
+  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
+  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) != 0) {
+    const int connect_errno = errno;
+    ::close(fd);
+    errno = connect_errno;
+    return -1;
+  }
+  return fd;
+}
+
+bool send_line(int fd, const Json& message) {
+  const std::string line = message.dump() + "\n";
+  std::size_t sent = 0;
+  while (sent < line.size()) {
+    const ssize_t n =
+        ::send(fd, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
+    if (n <= 0) {
+      if (n < 0 && errno == EINTR) {
+        continue;
+      }
+      return false;
+    }
+    sent += static_cast<std::size_t>(n);
+  }
+  return true;
 }
 
 const char* to_string(JobState state) {

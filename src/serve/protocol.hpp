@@ -35,6 +35,13 @@ inline constexpr std::uint64_t kProtocolVersion = 1;
 /// Socket path resolution: explicit flag > RETSCAN_SOCKET > ./retscan.sock.
 std::string default_socket_path();
 
+/// Connected AF_UNIX stream socket, or -1 with errno set.
+int connect_socket(const std::string& path);
+
+/// Write one LF-terminated JSON line; false when the peer is gone
+/// (MSG_NOSIGNAL: a vanished peer must not SIGPIPE this process).
+bool send_line(int fd, const Json& message);
+
 /// Where a submitted job is in its lifecycle.
 enum class JobState {
   Queued,     ///< accepted, waiting for a driver slot

@@ -6,8 +6,8 @@
 #include <sys/un.h>
 #include <unistd.h>
 
-#include <chrono>
 #include <cstring>
+#include <thread>
 
 #include "retscan/runtime.hpp"
 #include "retscan/version.hpp"
@@ -24,28 +24,12 @@ std::atomic<bool> g_signal_shutdown{false};
 /// Guard against protocol abuse / a client writing garbage forever.
 constexpr std::size_t kMaxLineBytes = 1u << 20;
 
-int connect_probe(const std::string& path) {
-  const int fd = ::socket(AF_UNIX, SOCK_STREAM, 0);
-  if (fd < 0) {
-    return -1;
-  }
-  sockaddr_un addr{};
-  addr.sun_family = AF_UNIX;
-  std::strncpy(addr.sun_path, path.c_str(), sizeof(addr.sun_path) - 1);
-  if (::connect(fd, reinterpret_cast<const sockaddr*>(&addr), sizeof(addr)) ==
-      0) {
-    return fd;  // a live daemon answered
-  }
-  ::close(fd);
-  return -1;
-}
-
 int make_listener(const std::string& path) {
   if (path.size() >= sizeof(sockaddr_un{}.sun_path)) {
     throw Error("socket path too long: '" + path + "'");
   }
   if (::access(path.c_str(), F_OK) == 0) {
-    const int live = connect_probe(path);
+    const int live = connect_socket(path);
     if (live >= 0) {
       ::close(live);
       throw Error("a retscan daemon is already serving '" + path + "'");
@@ -74,25 +58,6 @@ int make_listener(const std::string& path) {
   return fd;
 }
 
-/// Write one LF-terminated JSON line; false when the peer is gone
-/// (MSG_NOSIGNAL: a SIGKILLed client must not SIGPIPE the daemon).
-bool send_line(int fd, const Json& message) {
-  const std::string line = message.dump() + "\n";
-  std::size_t sent = 0;
-  while (sent < line.size()) {
-    const ssize_t n =
-        ::send(fd, line.data() + sent, line.size() - sent, MSG_NOSIGNAL);
-    if (n <= 0) {
-      if (n < 0 && errno == EINTR) {
-        continue;
-      }
-      return false;
-    }
-    sent += static_cast<std::size_t>(n);
-  }
-  return true;
-}
-
 Json error_response(const std::string& message) {
   Json response = Json::Object{};
   response.set("ok", false).set("error", message);
@@ -119,12 +84,18 @@ Server::~Server() {
     ::close(listen_fd_);
     ::unlink(socket_path_.c_str());
   }
+  close_connections();
+}
+
+std::size_t Server::connections() const {
+  const std::lock_guard<std::mutex> lock(connections_mutex_);
+  return connections_;
+}
+
+void Server::close_connections() {
   stopping_.store(true);
-  for (std::thread& connection : connections_) {
-    if (connection.joinable()) {
-      connection.join();
-    }
-  }
+  std::unique_lock<std::mutex> lock(connections_mutex_);
+  connections_cv_.wait(lock, [this] { return connections_ == 0; });
 }
 
 void Server::run() {
@@ -145,21 +116,24 @@ void Server::run() {
     // notice the drain instead of blocking in recv forever.
     timeval timeout{0, 500 * 1000};
     ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    connections_.emplace_back([this, fd] { serve_connection(fd); });
+    // Counted under the lock the thread's exit takes: a thread that fails
+    // to start is never counted, and the count never runs behind.
+    const std::lock_guard<std::mutex> lock(connections_mutex_);
+    std::thread([this, fd] {
+      serve_connection(fd);
+      const std::lock_guard<std::mutex> exit_lock(connections_mutex_);
+      --connections_;
+      connections_cv_.notify_all();
+    }).detach();
+    ++connections_;
   }
   // Graceful drain: no new connections, finish every accepted job, let
-  // the connection threads answer their clients, then join them.
+  // the connection threads answer their clients, then wait them out.
   ::close(listen_fd_);
   ::unlink(socket_path_.c_str());
   listen_fd_ = -1;
   manager_.drain();
-  stopping_.store(true);
-  for (std::thread& connection : connections_) {
-    if (connection.joinable()) {
-      connection.join();
-    }
-  }
-  connections_.clear();
+  close_connections();
 }
 
 void Server::serve_connection(int fd) {
@@ -231,41 +205,31 @@ Json Server::handle(const Json& request, int fd, bool& close_connection) {
       overrides = overrides_from_json(*json);
     }
     const std::uint64_t id = manager_.submit(spec, overrides);
-    const bool wait = request.has("wait") && request.at("wait").as_bool();
-    if (!wait) {
-      response.set("ok", true).set("id", id);
+    response.set("ok", true).set("id", id);
+    if (!request.has("wait") || !request.at("wait").as_bool()) {
       return response;
     }
-    // Streamed wait: progress event lines, then the terminal record as
-    // the response. A client that dies mid-stream just breaks the send;
-    // the job itself is unaffected.
-    std::uint64_t last_done = ~std::uint64_t{0};
-    JobState last_state = JobState::Queued;
-    for (;;) {
-      const std::optional<JobRecord> record = manager_.status(id);
-      if (!record) {
-        return error_response("job " + std::to_string(id) + " vanished");
-      }
-      if (is_terminal(record->state)) {
-        response.set("ok", true).set("id", id).set("job", to_json(*record));
-        return response;
-      }
-      if (record->shards_done != last_done || record->state != last_state) {
-        last_done = record->shards_done;
-        last_state = record->state;
-        Json event = Json::Object{};
-        event.set("event", "progress")
-            .set("id", id)
-            .set("state", to_string(record->state))
-            .set("shards_done", record->shards_done)
-            .set("shard_count", record->shard_count);
-        if (!send_line(fd, event)) {
-          close_connection = true;
-          return error_response("client gone");
-        }
-      }
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // Streamed wait: one progress event per observed change, then the
+    // terminal record. A failed send (client gone) ends the wait, not the job.
+    const std::optional<JobRecord> record =
+        manager_.wait(id, [fd](const JobRecord& now) {
+          Json event = Json::Object{};
+          event.set("event", "progress")
+              .set("id", now.id)
+              .set("state", to_string(now.state))
+              .set("shards_done", now.shards_done)
+              .set("shard_count", now.shard_count);
+          return send_line(fd, event);
+        });
+    if (!record) {
+      return error_response("unknown job " + std::to_string(id));
     }
+    if (!is_terminal(record->state)) {
+      close_connection = true;
+      return error_response("client gone");
+    }
+    response.set("job", to_json(*record));
+    return response;
   }
   if (cmd == "status" || cmd == "result") {
     const std::uint64_t id = request.at("id").as_u64();

@@ -2,9 +2,9 @@
 
 /// `retscan serve` daemon: a local AF_UNIX stream-socket front end over
 /// the JobManager. Framing is one JSON object per LF-terminated line
-/// (serve/protocol.hpp); each accepted connection gets its own thread, so
-/// a client blocked in `result` (wait-for-terminal) never stalls another
-/// client's `submit`.
+/// (serve/protocol.hpp); each accepted connection gets its own detached
+/// thread, so a client blocked in `result` or `submit --wait` (both block
+/// in JobManager::wait) never stalls another client's `submit`.
 ///
 /// Commands:
 ///   {"cmd":"ping"}                         → daemon liveness + provenance
@@ -23,14 +23,15 @@
 /// drain: stop accepting, finish every queued and running job, answer the
 /// clients still connected, then return from run(). A client killed
 /// mid-flight (even SIGKILL) only drops its connection — the job it
-/// submitted keeps running and its result stays queryable, which is what
-/// the serve CI job asserts.
+/// submitted keeps running and its result stays queryable (among the
+/// last JobManager::kFinishedJobsKept finished jobs), which is what the
+/// serve CI job asserts.
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
+#include <mutex>
 #include <string>
-#include <thread>
-#include <vector>
 
 #include "serve/job_manager.hpp"
 
@@ -56,18 +57,24 @@ class Server {
 
   const std::string& socket_path() const { return socket_path_; }
   JobManager& jobs() { return manager_; }
+  /// Connections being served right now; run() and ~Server wait for 0.
+  std::size_t connections() const;
 
  private:
   void serve_connection(int fd);
   Json handle(const Json& request, int fd, bool& close_connection);
   bool shutdown_requested() const;
+  /// Tell idle connection threads to exit and wait until none is left.
+  void close_connections();
 
   std::string socket_path_;
   int listen_fd_ = -1;
   JobManager manager_;
   std::atomic<bool> shutdown_{false};
   std::atomic<bool> stopping_{false};  ///< connection threads should exit
-  std::vector<std::thread> connections_;
+  mutable std::mutex connections_mutex_;
+  std::condition_variable connections_cv_;  ///< a connection thread exited
+  std::size_t connections_ = 0;
 };
 
 }  // namespace retscan::serve

@@ -11,7 +11,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
@@ -666,6 +668,93 @@ TEST(ServeJobManager, CancelHitsQueuedAndRunningJobs) {
   EXPECT_EQ(manager.list().size(), 2u);
 }
 
+TEST(ServeJobManager, WaitReportsEachChangeThenTheTerminalRecord) {
+  ServeOptions options;
+  options.max_active = 1;
+  JobManager manager(options);
+  SubmitOverrides many_shards;
+  many_shards.sequences = 20000;  // 5 behavioral shards
+
+  const std::uint64_t id = manager.submit(validation_spec(), many_shards);
+  std::vector<JobRecord> seen;
+  const auto record = manager.wait(id, [&](const JobRecord& now) {
+    seen.push_back(now);
+    return true;
+  });
+  ASSERT_TRUE(record.has_value());
+  EXPECT_EQ(record->state, JobState::Done) << record->error;
+  EXPECT_GT(record->shard_count, 1u);
+  EXPECT_EQ(record->shards_done, record->shard_count);
+  ASSERT_FALSE(seen.empty());
+  for (std::size_t i = 0; i < seen.size(); ++i) {
+    EXPECT_FALSE(is_terminal(seen[i].state)) << "change " << i;
+    if (i > 0) {
+      EXPECT_GE(seen[i].shards_done, seen[i - 1].shards_done) << "change " << i;
+      EXPECT_TRUE(seen[i].state != seen[i - 1].state ||
+                  seen[i].shards_done != seen[i - 1].shards_done)
+          << "change " << i << " repeats the previous one";
+    }
+  }
+
+  // A callback that returns false ends the wait; the job runs on.
+  const std::uint64_t next = manager.submit(validation_spec(), many_shards);
+  std::size_t calls = 0;
+  const auto left = manager.wait(next, [&](const JobRecord&) {
+    ++calls;
+    return false;
+  });
+  ASSERT_TRUE(left.has_value());
+  EXPECT_EQ(calls, 1u);
+  EXPECT_FALSE(is_terminal(left->state));
+  EXPECT_EQ(manager.wait(next)->state, JobState::Done);
+}
+
+TEST(ServeJobManager, KeepsOnlyTheLastFinishedRecords) {
+  ServeOptions options;
+  options.max_active = 1;
+  JobManager manager(options);
+  constexpr std::size_t kKept = JobManager::kFinishedJobsKept;
+  // A spec path that does not exist fails its job in microseconds.
+  std::uint64_t last = 0;
+  for (std::size_t i = 0; i < kKept + 8; ++i) {
+    last = manager.submit("/nonexistent/campaign.spec", {});
+  }
+  ASSERT_EQ(manager.wait(last)->state, JobState::Failed);
+  EXPECT_EQ(manager.list().size(), kKept);
+  for (std::uint64_t id = 1; id <= 8; ++id) {
+    EXPECT_FALSE(manager.status(id).has_value()) << "job " << id;
+    EXPECT_FALSE(manager.wait(id).has_value()) << "job " << id;
+    EXPECT_FALSE(manager.cancel(id)) << "job " << id;
+  }
+  EXPECT_TRUE(manager.status(9).has_value());
+  EXPECT_TRUE(manager.status(last).has_value());
+}
+
+TEST(ServeJobManager, DriverSkipsQueuedJobsEvictedAfterCancel) {
+  ServeOptions options;
+  options.max_active = 1;
+  JobManager manager(options);
+  SubmitOverrides big;
+  big.sequences = 2000000;
+  const std::uint64_t head = manager.submit(validation_spec(), big);
+  // Cancelled behind the head-of-line job: terminal while still queued,
+  // and the first 8 are evicted before the driver reaches their entries.
+  std::vector<std::uint64_t> queued;
+  for (std::size_t i = 0; i < JobManager::kFinishedJobsKept + 8; ++i) {
+    queued.push_back(manager.submit("/nonexistent/campaign.spec", {}));
+  }
+  for (const std::uint64_t id : queued) {
+    EXPECT_TRUE(manager.cancel(id)) << "job " << id;
+  }
+  EXPECT_FALSE(manager.status(queued.front()).has_value());
+  EXPECT_TRUE(manager.cancel(head));
+  EXPECT_EQ(manager.wait(head)->state, JobState::Cancelled);
+  // The driver stepped over the evicted entries and still takes work.
+  const std::uint64_t after = manager.submit("/nonexistent/campaign.spec", {});
+  EXPECT_EQ(manager.wait(after)->state, JobState::Failed);
+  EXPECT_EQ(manager.list().size(), JobManager::kFinishedJobsKept);
+}
+
 TEST(ServeJobManager, DrainFinishesQueuedWorkAndRejectsNewJobs) {
   ServeOptions options;
   options.max_active = 1;
@@ -758,6 +847,7 @@ TEST(ServeServer, FullProtocolOverAUnixSocket) {
 
   daemon.join();
   EXPECT_FALSE(std::filesystem::exists(socket_path));  // socket unlinked
+  EXPECT_EQ(server.connections(), 0u);
 
   // A dropped client connection must not leak into the next daemon on the
   // same path: restart immediately over the stale-free path.
@@ -768,6 +858,85 @@ TEST(ServeServer, FullProtocolOverAUnixSocket) {
     client.request(Json(Json::Object{}).set("cmd", "shutdown"));
   }
   again.join();
+}
+
+TEST(ServeServer, ConnectionThreadsExitWithTheirClients) {
+  const std::string socket_path =
+      (std::filesystem::path(::testing::TempDir()) / "serve_conn.sock")
+          .string();
+  Server server(socket_path, ServeOptions{});
+  std::thread daemon([&] { server.run(); });
+  for (int i = 0; i < 64; ++i) {
+    Client client(socket_path);
+    client.request(Json(Json::Object{}).set("cmd", "ping"));
+  }
+  // Each connection thread exits as soon as it reads its peer's close.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.connections() != 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(server.connections(), 0u);
+  {
+    Client client(socket_path);
+    client.request(Json(Json::Object{}).set("cmd", "shutdown"));
+  }
+  daemon.join();
+  EXPECT_EQ(server.connections(), 0u);
+}
+
+TEST(ServeServer, SubmitWaitAddsLittleOverTheJob) {
+  const std::string socket_path =
+      (std::filesystem::path(::testing::TempDir()) / "serve_latency.sock")
+          .string();
+  const std::string spec = write_file("serve_structural.spec",
+                                      "fifo.depth = 32\n"
+                                      "fifo.width = 2\n"
+                                      "protection.kind = hamming+crc\n"
+                                      "protection.chain_count = 8\n"
+                                      "protection.test_width = 4\n"
+                                      "campaign.kind = validation\n"
+                                      "campaign.tier = structural\n"
+                                      "campaign.sequences = 512\n"
+                                      "campaign.seed = 5\n");
+  ServeOptions options;
+  options.max_active = 1;
+  Server server(socket_path, options);
+  std::thread daemon([&] { server.run(); });
+
+  // Round trip minus the job's own set-up and run time: the queue, the
+  // wait and the protocol. A sleep-poll wait would add tens of ms here.
+  std::vector<double> overhead_ms;
+  for (int i = 0; i < 10; ++i) {
+    Client client(socket_path);
+    const auto start = std::chrono::steady_clock::now();
+    client.send(Json(Json::Object{})
+                    .set("cmd", "submit")
+                    .set("spec", spec)
+                    .set("wait", true));
+    Json line = client.read_line();
+    while (!line.has("ok")) {
+      line = client.read_line();
+    }
+    const double round_trip_ms =
+        std::chrono::duration<double, std::milli>(
+            std::chrono::steady_clock::now() - start)
+            .count();
+    const JobRecord record = job_from_json(line.at("job"));
+    ASSERT_EQ(record.state, JobState::Done) << record.error;
+    overhead_ms.push_back(round_trip_ms -
+                          1e3 * (record.setup_seconds + record.run_seconds));
+  }
+  std::sort(overhead_ms.begin(), overhead_ms.end());
+  const double median = (overhead_ms[4] + overhead_ms[5]) / 2;
+  EXPECT_LT(median, 20.0);
+
+  {
+    Client client(socket_path);
+    client.request(Json(Json::Object{}).set("cmd", "shutdown"));
+  }
+  daemon.join();
 }
 
 }  // namespace
