@@ -45,6 +45,10 @@ std::size_t fault_dictionary_detects(const CombinationalFrame& frame,
                                      std::size_t batch_size, bool reference = false) {
   std::size_t detected = 0;
   std::vector<char> hit(faults.size(), 0);
+  std::vector<const CombinationalFrame::FaultCone*> cones;
+  for (const Fault& fault : faults) {
+    cones.push_back(&frame.fault_cone(fault.net));
+  }
   CombinationalFrame::Workspace workspace;
   for (std::size_t base = 0; base < patterns.size(); base += batch_size) {
     const std::size_t count = std::min(batch_size, patterns.size() - base);
@@ -61,7 +65,7 @@ std::size_t fault_dictionary_detects(const CombinationalFrame& frame,
     }
     const CombinationalFrame::LoadedPatternBatch loaded = frame.load_batch(batch);
     for (std::size_t fi = 0; fi < faults.size(); ++fi) {
-      if (block_any(frame.detect_block(faults[fi], loaded, loaded.good, workspace))) {
+      if (block_any(frame.detect_block(faults[fi], *cones[fi], loaded, workspace))) {
         hit[fi] = 1;
       }
     }

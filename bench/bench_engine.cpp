@@ -22,6 +22,7 @@
 #include "bench_util.hpp"
 #include "retscan/netlist.hpp"
 #include "retscan/design.hpp"
+#include "retscan/runtime.hpp"
 #include "retscan/sim.hpp"
 
 using namespace retscan;
@@ -32,7 +33,7 @@ int main() {
   bool ok = true;
   std::cout << "lane width: " << kLaneWords << " words (" << kLaneBlockBits
             << " lanes/block), AVX2 kernels "
-            << (lane_block_simd_compiled() ? "on" : "off") << "\n";
+            << (build_info().avx2 ? "on" : "off") << "\n";
 
   ProtectionConfig config;
   config.kind = CodeKind::HammingPlusCrc;
@@ -154,7 +155,10 @@ int main() {
   for (int i = 0; i < 256; ++i) {
     patterns.push_back(frame.random_pattern(pattern_rng));
   }
-  frame.warm_cones(faults);
+  std::vector<const CombinationalFrame::FaultCone*> cones;
+  for (const Fault& fault : faults) {
+    cones.push_back(&frame.fault_cone(fault.net));
+  }
 
   // Preload batches so both timed loops measure pure per-fault evaluation.
   // The cone path consumes kLaneBlockBits patterns per loaded block; the
@@ -187,7 +191,7 @@ int main() {
     for (std::size_t b = 0; b < loaded.size(); ++b) {
       for (std::size_t fi = 0; fi < faults.size(); ++fi) {
         cone_blocks[b * faults.size() + fi] =
-            frame.detect_block(faults[fi], loaded[b], loaded[b].good, workspace);
+            frame.detect_block(faults[fi], *cones[fi], loaded[b], workspace);
       }
     }
   }

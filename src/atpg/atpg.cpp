@@ -172,6 +172,14 @@ AtpgResult run_atpg(const CombinationalFrame& frame, const std::vector<Fault>& f
     }
   }
   const Targets targets{frame, faults, survivors, detected, options.max_backtracks};
+  // Phase 1 built every survivor's cone; resolve them once, outside the
+  // commit loop, so grading a committed pattern takes no cache lock.
+  std::vector<const CombinationalFrame::FaultCone*> cones;
+  cones.reserve(survivors.size());
+  for (const std::size_t fi : survivors) {
+    cones.push_back(&frame.fault_cone(faults[fi].net));
+  }
+  CombinationalFrame::Workspace workspace;
   Podem podem(frame, options.max_backtracks);
   const bool speculate = pool != nullptr && pool->size() > 1 && !pool->on_worker_thread();
   const std::size_t lookahead = speculate ? 4 * std::size_t{pool->size()} : 0;
@@ -224,16 +232,17 @@ AtpgResult run_atpg(const CombinationalFrame& frame, const std::vector<Fault>& f
       continue;
     }
     // X-fill from the one shared stream, in commit order; then fault-simulate
-    // the new pattern against all remaining faults: load and settle it once,
-    // then cone-evaluate each survivor against it.
+    // the new pattern against all remaining faults (only survivors can be
+    // undetected): load and settle it once, then cone-evaluate each one.
     BitVec pattern = Podem::fill(found.cube, rng);
     const CombinationalFrame::LoadedPatternBatch loaded = frame.load_batch({pattern});
     bool useful_pattern = false;
-    for (std::size_t fj = 0; fj < faults.size(); ++fj) {
+    for (std::size_t j = 0; j < survivors.size(); ++j) {
+      const std::size_t fj = survivors[j];
       if (detected[fj]) {
         continue;
       }
-      if (frame.detect_mask(faults[fj], loaded, loaded.good) != 0) {
+      if (block_any(frame.detect_block(faults[fj], *cones[j], loaded, workspace))) {
         detected[fj] = true;
         ++result.detected_podem;
         --remaining;

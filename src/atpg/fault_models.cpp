@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <span>
 #include <unordered_set>
 
 #include "atpg/grading.hpp"
@@ -55,7 +56,7 @@ struct TransitionModel {
     const TransitionFault& fault = faults[fi];
     const LaneBlock detect =
         frame.detect_block({fault.net, !fault.slow_to_rise}, *shard.cones[fi - shard.first],
-                           capture[b], capture[b].good, shard.workspace);
+                           capture[b], shard.workspace);
     const LaneBlock& launch_vals = launch[b].settled[compiled->slot(fault.net)];
     return fault.slow_to_rise ? detect & ~launch_vals : detect & launch_vals;
   }
@@ -148,7 +149,7 @@ struct BridgingModel {
     // with respect to the cone's source slots.
     shard.forced[0] = shard.forced[1] = fault.wired_and ? va & vb : va | vb;
     return frame.replay_dirty(shard.cones[fi - shard.first], shard.forced, blocks[b],
-                              blocks[b].good, shard.workspace);
+                              shard.workspace);
   }
 };
 
@@ -167,17 +168,18 @@ FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
 
 namespace {
 
-/// Shared context of one sequential fault-simulation run: per-block random
-/// primary-input stimulus and the good-machine primary-output trajectory,
-/// both a pure function of (netlist, sequences, cycles, seed) so fault
-/// shards reproduce identical results at any thread count.
+/// Shared context of one sequential fault-simulation run: the frame's slot
+/// layout split into machine roles, per-block random primary-input stimulus
+/// and the good-machine primary-output trajectory, all a pure function of
+/// (netlist, sequences, cycles, seed) so fault shards reproduce identical
+/// results at any thread count.
 struct SeqContext {
   std::shared_ptr<const CompiledNetlist> compiled;
-  std::vector<std::uint32_t> pi_slots;
-  std::vector<std::uint32_t> q_slots;   // flop outputs (state)
-  std::vector<std::uint32_t> d_slots;   // flop D inputs (next state)
-  std::vector<std::uint32_t> one_slots; // Const1 sources, forced every cycle
-  std::vector<std::uint32_t> po_slots;
+  std::span<const std::uint32_t> pi_slots;
+  std::span<const std::uint32_t> q_slots;   // flop outputs (state)
+  std::span<const std::uint32_t> po_slots;
+  std::span<const std::uint32_t> d_slots;   // flop D inputs (next state)
+  std::span<const std::uint32_t> one_slots; // Const1 sources, forced every cycle
   std::size_t sequences = 0;
   std::size_t cycles = 0;
   std::size_t block_count = 0;
@@ -236,28 +238,20 @@ void seq_step(const SeqContext& ctx, std::vector<LaneBlock>& values, std::size_t
   }
 }
 
-SeqContext build_seq_context(const Netlist& netlist, std::size_t sequences,
+SeqContext build_seq_context(const CombinationalFrame& frame, std::size_t sequences,
                              std::size_t cycles, std::uint64_t seed) {
   SeqContext ctx;
-  ctx.compiled = netlist.compiled();
+  ctx.compiled = frame.netlist().compiled();
+  const std::span<const std::uint32_t> inputs = frame.input_slots();
+  const std::span<const std::uint32_t> observables = frame.observable_slots();
+  ctx.pi_slots = inputs.first(frame.pi_nets().size());
+  ctx.q_slots = inputs.subspan(frame.pi_nets().size());
+  ctx.po_slots = observables.first(frame.po_nets().size());
+  ctx.d_slots = observables.subspan(frame.po_nets().size());
+  ctx.one_slots = frame.const1_slots();
   ctx.sequences = sequences;
   ctx.cycles = cycles;
   ctx.block_count = grading::block_count(sequences);
-  for (const CellId id : netlist.inputs()) {
-    ctx.pi_slots.push_back(ctx.compiled->slot(netlist.cell(id).out));
-  }
-  for (const CellId id : netlist.flops()) {
-    ctx.q_slots.push_back(ctx.compiled->slot(netlist.cell(id).out));
-    ctx.d_slots.push_back(ctx.compiled->slot(netlist.cell(id).fanin[0]));
-  }
-  for (CellId id = 0; id < netlist.cell_count(); ++id) {
-    if (netlist.cell(id).type == CellType::Const1) {
-      ctx.one_slots.push_back(ctx.compiled->slot(netlist.cell(id).out));
-    }
-  }
-  for (const CellId id : netlist.outputs()) {
-    ctx.po_slots.push_back(ctx.compiled->slot(netlist.cell(id).fanin[0]));
-  }
 
   // Stimulus is drawn block by block from independent derived streams, so
   // it is identical however the fault list is later sharded.
@@ -293,7 +287,7 @@ SeqContext build_seq_context(const Netlist& netlist, std::size_t sequences,
 /// the fault, detected by the per-lane OR of PO differences across all
 /// cycles. Each shard builds its faults' clamp cones at shard start.
 struct SequentialModel {
-  const Netlist& netlist;
+  const CombinationalFrame& frame;
   const std::vector<Fault>& faults;
   std::size_t sequences;
   std::size_t cycles;
@@ -308,7 +302,7 @@ struct SequentialModel {
     std::vector<LaneBlock> d_scratch;
   };
 
-  void prepare(ThreadPool&) { ctx = build_seq_context(netlist, sequences, cycles, seed); }
+  void prepare(ThreadPool&) { ctx = build_seq_context(frame, sequences, cycles, seed); }
   Shard shard(std::size_t first, std::size_t last) const {
     Shard shard{first, {}, std::vector<LaneBlock>(ctx.compiled->slot_count()),
                 std::vector<LaneBlock>(ctx.po_slots.size()),
@@ -344,7 +338,10 @@ FaultSimResult sequential_fault_simulate(const Netlist& netlist,
                                          std::size_t sequences, std::size_t cycles,
                                          std::uint64_t seed, ThreadPool& pool,
                                          std::size_t fault_shard) {
-  SequentialModel model{netlist, faults, sequences, cycles, seed, {}};
+  // The frame supplies the slot layout only; sequential grading never
+  // loads a scan pattern.
+  const CombinationalFrame frame(netlist);
+  SequentialModel model{frame, faults, sequences, cycles, seed, {}};
   const std::size_t blocks = cycles == 0 ? 0 : grading::block_count(sequences);
   return grading::grade(model, faults.size(), blocks, pool, fault_shard);
 }

@@ -40,14 +40,14 @@ CombinationalFrame::CombinationalFrame(const Netlist& netlist)
       const1_slots_.push_back(compiled_->slot(netlist.cell(id).out));
     }
   }
+  // Pattern bits: PIs first, then flop Qs. Observation points: POs first,
+  // then flop D captures (functional path, se = 0) — the good_words layout.
   for (const NetId net : pi_nets_) {
-    pi_slots_.push_back(compiled_->slot(net));
+    input_slots_.push_back(compiled_->slot(net));
   }
   for (const CellId flop : flops_) {
-    ppi_slots_.push_back(compiled_->slot(netlist.cell(flop).out));
+    input_slots_.push_back(compiled_->slot(netlist.cell(flop).out));
   }
-  // Observation points: POs first, then flop D captures (functional path,
-  // se = 0) — the good_words layout.
   for (const NetId po : po_nets_) {
     obs_slots_.push_back(compiled_->slot(po));
   }
@@ -93,19 +93,14 @@ void CombinationalFrame::load(std::vector<LaneBlock>& slot_values,
                   "CombinationalFrame: pattern width mismatch");
     const std::size_t word = p / kLaneCount;
     const std::uint64_t bit = std::uint64_t{1} << (p % kLaneCount);
-    for (std::size_t i = 0; i < pi_slots_.size(); ++i) {
+    for (std::size_t i = 0; i < input_slots_.size(); ++i) {
       if (patterns[p].get(i)) {
-        slot_values[pi_slots_[i]].w[word] |= bit;
-      }
-    }
-    for (std::size_t i = 0; i < ppi_slots_.size(); ++i) {
-      if (patterns[p].get(pi_slots_.size() + i)) {
-        slot_values[ppi_slots_[i]].w[word] |= bit;
+        slot_values[input_slots_[i]].w[word] |= bit;
       }
     }
   }
   for (const auto& [index, value] : constraints_) {
-    slot_values[pi_slots_[index]] = block_broadcast(value);
+    slot_values[input_slots_[index]] = block_broadcast(value);
   }
   for (const std::uint32_t slot : const1_slots_) {
     slot_values[slot] = block_broadcast(true);
@@ -144,27 +139,9 @@ std::vector<std::uint64_t> CombinationalFrame::good_response_words(
   return words;
 }
 
-const CombinationalFrame::FaultCone& CombinationalFrame::fault_cone(NetId net) const {
-  const std::lock_guard<std::mutex> lock(cone_mutex_);
-  auto it = cones_.find(net);
-  if (it == cones_.end()) {
-    auto fault_cone = std::make_unique<FaultCone>();
-    fault_cone->cone = compiled_->build_cone(net);
-    for (const std::uint32_t slot : fault_cone->cone.touched_slots) {
-      const std::uint32_t word = obs_word_of_slot_[slot];
-      if (word != kNoObs) {
-        fault_cone->observables.emplace_back(word, slot);
-      }
-    }
-    it = cones_.emplace(net, std::move(fault_cone)).first;
-  }
-  return *it->second;
-}
-
-CombinationalFrame::FaultCone CombinationalFrame::dirty_cone(
-    const std::vector<NetId>& sources) const {
+CombinationalFrame::FaultCone CombinationalFrame::cone_of(CompiledNetlist::Cone cone) const {
   FaultCone fc;
-  fc.cone = compiled_->build_cone(sources);
+  fc.cone = std::move(cone);
   for (const std::uint32_t slot : fc.cone.touched_slots) {
     const std::uint32_t word = obs_word_of_slot_[slot];
     if (word != kNoObs) {
@@ -174,48 +151,45 @@ CombinationalFrame::FaultCone CombinationalFrame::dirty_cone(
   return fc;
 }
 
-void CombinationalFrame::warm_cones(const std::vector<Fault>& faults) const {
-  for (const Fault& fault : faults) {
-    (void)fault_cone(fault.net);
+const CombinationalFrame::FaultCone& CombinationalFrame::fault_cone(NetId net) const {
+  const std::lock_guard<std::mutex> lock(cone_mutex_);
+  auto it = cones_.find(net);
+  if (it == cones_.end()) {
+    it = cones_.emplace(net, std::make_unique<FaultCone>(cone_of(compiled_->build_cone(net))))
+             .first;
   }
+  return *it->second;
 }
 
-LaneBlock CombinationalFrame::detect_block(
-    const Fault& fault, const LoadedPatternBatch& batch,
-    const std::vector<LaneBlock>& good_blocks) const {
-  return detect_block(fault, batch, good_blocks, scratch_);
+CombinationalFrame::FaultCone CombinationalFrame::dirty_cone(
+    const std::vector<NetId>& sources) const {
+  return cone_of(compiled_->build_cone(sources));
 }
 
-LaneBlock CombinationalFrame::detect_block(
-    const Fault& fault, const LoadedPatternBatch& batch,
-    const std::vector<LaneBlock>& good_blocks, Workspace& workspace) const {
-  return detect_block(fault, fault_cone(fault.net), batch, good_blocks, workspace);
-}
-
-LaneBlock CombinationalFrame::detect_block(
-    const Fault& fault, const FaultCone& fc, const LoadedPatternBatch& batch,
-    const std::vector<LaneBlock>& good_blocks, Workspace& workspace) const {
+LaneBlock CombinationalFrame::detect_block(const Fault& fault, const FaultCone& fc,
+                                           const LoadedPatternBatch& batch,
+                                           Workspace& workspace) const {
   // Single-source specialization of the dirty-set replay; the forced value
   // lives on the stack so the per-fault hot loop stays allocation-free.
   const LaneBlock forced = block_broadcast(fault.stuck_at);
-  return replay_span(fc, &forced, 1, batch, good_blocks, workspace);
+  return replay_span(fc, &forced, 1, batch, workspace);
 }
 
-LaneBlock CombinationalFrame::replay_dirty(
-    const FaultCone& fc, const std::vector<LaneBlock>& forced,
-    const LoadedPatternBatch& batch, const std::vector<LaneBlock>& good_blocks,
-    Workspace& workspace) const {
+LaneBlock CombinationalFrame::replay_dirty(const FaultCone& fc,
+                                           const std::vector<LaneBlock>& forced,
+                                           const LoadedPatternBatch& batch,
+                                           Workspace& workspace) const {
   RETSCAN_CHECK(forced.size() == fc.cone.source_slots.size(),
                 "CombinationalFrame::replay_dirty: one forced value per source");
-  return replay_span(fc, forced.data(), forced.size(), batch, good_blocks, workspace);
+  return replay_span(fc, forced.data(), forced.size(), batch, workspace);
 }
 
-LaneBlock CombinationalFrame::replay_span(
-    const FaultCone& fc, const LaneBlock* forced, std::size_t forced_count,
-    const LoadedPatternBatch& batch, const std::vector<LaneBlock>& good_blocks,
-    Workspace& workspace) const {
-  RETSCAN_CHECK(good_blocks.size() == response_width(),
-                "CombinationalFrame::detect_block: good responses missing");
+LaneBlock CombinationalFrame::replay_span(const FaultCone& fc, const LaneBlock* forced,
+                                          std::size_t forced_count,
+                                          const LoadedPatternBatch& batch,
+                                          Workspace& workspace) const {
+  RETSCAN_CHECK(batch.good.size() == response_width(),
+                "CombinationalFrame::detect_block: batch not loaded by this frame");
   // Sync the workspace to this batch's good machine once; every cone pass
   // below leaves it settled again, so consecutive faults pay no copy.
   if (workspace.synced_tag != batch.tag) {
@@ -235,58 +209,13 @@ LaneBlock CombinationalFrame::replay_span(
   // of the result is set iff pattern p sees a difference somewhere.
   LaneBlock mask{};
   for (const auto& [word, slot] : fc.observables) {
-    mask = mask | (v[slot] ^ good_blocks[word]);
+    mask = mask | (v[slot] ^ batch.good[word]);
   }
   // Undo: restore exactly the touched slots to the good-machine values.
   for (const std::uint32_t slot : fc.cone.touched_slots) {
     v[slot] = batch.settled[slot];
   }
   return mask & block_lane_mask(batch.count);
-}
-
-std::uint64_t CombinationalFrame::detect_mask(
-    const Fault& fault, const LoadedPatternBatch& batch,
-    const std::vector<LaneBlock>& good_blocks) const {
-  return detect_mask(fault, batch, good_blocks, scratch_);
-}
-
-std::uint64_t CombinationalFrame::detect_mask(
-    const Fault& fault, const LoadedPatternBatch& batch,
-    const std::vector<LaneBlock>& good_blocks, Workspace& workspace) const {
-  return detect_mask(fault, fault_cone(fault.net), batch, good_blocks, workspace);
-}
-
-std::uint64_t CombinationalFrame::detect_mask(
-    const Fault& fault, const FaultCone& fc, const LoadedPatternBatch& batch,
-    const std::vector<LaneBlock>& good_blocks, Workspace& workspace) const {
-  RETSCAN_CHECK(batch.count <= kLaneCount,
-                "CombinationalFrame::detect_mask: batch wider than one word");
-  return detect_block(fault, fc, batch, good_blocks, workspace).w[0];
-}
-
-std::uint64_t CombinationalFrame::detect_mask(
-    const Fault& fault, const std::vector<BitVec>& patterns,
-    const std::vector<std::uint64_t>& good_words) const {
-  RETSCAN_CHECK(patterns.size() <= kLaneCount,
-                "CombinationalFrame::detect_mask: more than 64 patterns");
-  // Widen the caller's good words (lanes 0..63) into blocks; lanes beyond
-  // the batch count are silenced by the final block mask.
-  std::vector<LaneBlock> good_blocks(good_words.size(), LaneBlock{});
-  for (std::size_t i = 0; i < good_words.size(); ++i) {
-    good_blocks[i].w[0] = good_words[i];
-  }
-  return detect_mask(fault, load_batch(patterns), good_blocks);
-}
-
-std::uint64_t CombinationalFrame::detect_mask(const Fault& fault,
-                                              const std::vector<BitVec>& patterns,
-                                              const std::vector<BitVec>& good) const {
-  RETSCAN_CHECK(patterns.size() == good.size(),
-                "CombinationalFrame::detect_mask: good responses missing");
-  if (patterns.empty()) {
-    return 0;
-  }
-  return detect_mask(fault, patterns, pack_lanes(good));
 }
 
 std::uint64_t CombinationalFrame::detect_mask_full(
@@ -379,7 +308,7 @@ struct StuckAtModel {
   }
   LaneBlock detect(std::size_t fi, std::size_t b, grading::SiteConeShard& shard) const {
     return frame.detect_block(faults[fi], *shard.cones[fi - shard.first], blocks[b],
-                              blocks[b].good, shard.workspace);
+                              shard.workspace);
   }
 };
 

@@ -30,6 +30,11 @@ namespace retscan {
 /// cost is O(cone), not O(circuit). Cones are built lazily per fault site
 /// and cached (thread-safe; the fault simulators warm the cache before
 /// fanning out).
+///
+/// The frame is the one owner of this view's slot layout (input_slots,
+/// observable_slots, const1_slots); PODEM and sequential grading read it
+/// from here. It is immutable after constrain(): every query writes only
+/// caller-owned state (a Workspace), so any number of threads may share it.
 class CombinationalFrame {
  public:
   explicit CombinationalFrame(const Netlist& netlist);
@@ -42,6 +47,14 @@ class CombinationalFrame {
   const std::vector<NetId>& po_nets() const { return po_nets_; }
   std::size_t pattern_width() const { return pi_nets_.size() + flops_.size(); }
   std::size_t response_width() const { return po_nets_.size() + flops_.size(); }
+
+  /// Value slots of the pattern bits: PIs, then flop Qs (pattern order).
+  const std::vector<std::uint32_t>& input_slots() const { return input_slots_; }
+  /// Value slots of the observables: POs, then flop Ds (response order).
+  const std::vector<std::uint32_t>& observable_slots() const { return obs_slots_; }
+  /// Value slots of the Const1 sources, which every load forces to 1 (the
+  /// instruction stream never writes a source; Const0 reads the zero fill).
+  const std::vector<std::uint32_t>& const1_slots() const { return const1_slots_; }
 
   /// Constrain a primary input to a fixed value during capture (e.g. the
   /// scan-enable, retain and monitor controls must be 0 while a pattern is
@@ -74,11 +87,11 @@ class CombinationalFrame {
   };
   LoadedPatternBatch load_batch(const std::vector<BitVec>& patterns) const;
 
-  /// Per-thread evaluation scratch. The frame itself is immutable during
-  /// queries; passing an explicit workspace to the *_ws overloads below
-  /// lets any number of threads share one frame concurrently. The workspace
-  /// remembers which batch it mirrors (cone undo keeps it settled), so
-  /// consecutive queries against the same batch skip the baseline copy.
+  /// Per-thread evaluation scratch, owned by the caller of detect_block and
+  /// replay_dirty so threads sharing one frame never share state. The
+  /// workspace remembers which batch it mirrors (cone undo keeps it
+  /// settled), so consecutive queries against the same batch skip the
+  /// baseline copy.
   struct Workspace {
     std::vector<LaneBlock> values;
     std::uint64_t synced_tag = 0;
@@ -101,12 +114,12 @@ class CombinationalFrame {
   };
   /// The cone of a fault site, built on first use and cached (thread-safe,
   /// one lock per call; the returned reference stays valid for the frame's
-  /// lifetime). Hot loops resolve this once per fault and pass it to the
-  /// cone-taking detect_mask overload so the cache lock stays out of the
-  /// inner loop. The cache holds every queried site's cone — O(sites x
-  /// average cone size) words total, the time/space trade that makes
-  /// per-fault evaluation O(cone); for circuits where that footprint is too
-  /// large, detect_mask_full remains the O(1)-scratch path.
+  /// lifetime). Hot loops resolve this once per fault and pass it to
+  /// detect_block so the cache lock stays out of the inner loop. The cache
+  /// holds every queried site's cone — O(sites x average cone size) words
+  /// total, the time/space trade that makes per-fault evaluation O(cone);
+  /// for circuits where that footprint is too large, detect_mask_full
+  /// remains the O(1)-scratch path.
   const FaultCone& fault_cone(NetId net) const;
 
   /// Cone of an arbitrary dirty set of nets — the multi-source
@@ -118,59 +131,26 @@ class CombinationalFrame {
 
   /// Replay a dirty set over a loaded batch: force `forced[i]` into
   /// `cone.cone.source_slots[i]`, re-evaluate the cone slice, and return the
-  /// per-lane OR of observable differences against `good_blocks`. The
+  /// per-lane OR of observable differences against `batch.good`. The
   /// workspace is restored to the batch's settled values before returning.
   /// detect_block is the single-source specialization of this (forced =
   /// stuck-at broadcast).
   LaneBlock replay_dirty(const FaultCone& cone, const std::vector<LaneBlock>& forced,
-                         const LoadedPatternBatch& batch,
-                         const std::vector<LaneBlock>& good_blocks,
-                         Workspace& workspace) const;
+                         const LoadedPatternBatch& batch, Workspace& workspace) const;
 
   /// Block-wide parallel-pattern single-fault propagation: lane p of the
-  /// returned LaneBlock is set iff pattern p in the batch detects `fault`,
-  /// given the precomputed good responses. Patterns beyond kLaneBlockBits
-  /// must be batched by the caller. Evaluates only the fault's fanout cone.
-  LaneBlock detect_block(const Fault& fault, const LoadedPatternBatch& batch,
-                         const std::vector<LaneBlock>& good_blocks) const;
-  LaneBlock detect_block(const Fault& fault, const LoadedPatternBatch& batch,
-                         const std::vector<LaneBlock>& good_blocks,
-                         Workspace& workspace) const;
-  /// Hot-loop variant: the caller resolved `cone` (= fault_cone(fault.net))
-  /// up front, so no cache lookup or lock is taken here.
+  /// returned LaneBlock is set iff pattern p in the batch detects `fault`.
+  /// `cone` is fault_cone(fault.net), resolved by the caller once per fault
+  /// so no cache lookup or lock is taken here. Patterns beyond
+  /// kLaneBlockBits must be batched by the caller.
   LaneBlock detect_block(const Fault& fault, const FaultCone& cone,
-                         const LoadedPatternBatch& batch,
-                         const std::vector<LaneBlock>& good_blocks,
-                         Workspace& workspace) const;
-
-  /// Single-word wrappers over detect_block for batches of at most 64
-  /// patterns (the ATPG generation granularity): bit p of the returned word
-  /// is set iff pattern p detects the fault.
-  std::uint64_t detect_mask(const Fault& fault, const LoadedPatternBatch& batch,
-                            const std::vector<LaneBlock>& good_blocks) const;
-  std::uint64_t detect_mask(const Fault& fault, const LoadedPatternBatch& batch,
-                            const std::vector<LaneBlock>& good_blocks,
-                            Workspace& workspace) const;
-  std::uint64_t detect_mask(const Fault& fault, const FaultCone& cone,
-                            const LoadedPatternBatch& batch,
-                            const std::vector<LaneBlock>& good_blocks,
-                            Workspace& workspace) const;
-  std::uint64_t detect_mask(const Fault& fault, const std::vector<BitVec>& patterns,
-                            const std::vector<std::uint64_t>& good_words) const;
-  /// Convenience overload taking per-pattern good responses.
-  std::uint64_t detect_mask(const Fault& fault, const std::vector<BitVec>& patterns,
-                            const std::vector<BitVec>& good) const;
+                         const LoadedPatternBatch& batch, Workspace& workspace) const;
 
   /// Reference full-circuit detection through the retained interpreter path
   /// (per-Cell walk, NetId-indexed values, no cones): the independent oracle
   /// the cone path is tested against, and the baseline bench_engine times.
   std::uint64_t detect_mask_full(const Fault& fault, const std::vector<BitVec>& patterns,
                                  const std::vector<std::uint64_t>& good_words) const;
-
-  /// Pre-build the cone of every fault site in `faults` on the calling
-  /// thread so later concurrent queries only take cache hits; optional
-  /// (cones build lazily under a lock).
-  void warm_cones(const std::vector<Fault>& faults) const;
 
  private:
   void load(std::vector<LaneBlock>& slot_values,
@@ -179,22 +159,20 @@ class CombinationalFrame {
   /// passed as a raw span so the single-fault hot loop never allocates.
   LaneBlock replay_span(const FaultCone& cone, const LaneBlock* forced,
                         std::size_t forced_count, const LoadedPatternBatch& batch,
-                        const std::vector<LaneBlock>& good_blocks,
                         Workspace& workspace) const;
+  FaultCone cone_of(CompiledNetlist::Cone cone) const;
 
   const Netlist* netlist_;
   std::shared_ptr<const CompiledNetlist> compiled_;
   std::vector<NetId> pi_nets_;
   std::vector<CellId> flops_;
   std::vector<NetId> po_nets_;
-  std::vector<std::uint32_t> pi_slots_;   // pi_nets_ as value slots
-  std::vector<std::uint32_t> ppi_slots_;  // flop Q slots (pattern layout order)
-  std::vector<std::uint32_t> obs_slots_;  // PO slots then flop D slots
+  std::vector<std::uint32_t> input_slots_;  // PI slots then flop Q slots
+  std::vector<std::uint32_t> obs_slots_;    // PO slots then flop D slots
   std::vector<std::uint32_t> obs_word_of_slot_;  // slot -> good-word index (or kNoObs)
   std::vector<std::uint32_t> const1_slots_;
   std::vector<NetId> const1_nets_;  // for the reference interpreter path
   std::vector<std::pair<std::size_t, bool>> constraints_;
-  mutable Workspace scratch_;  // evaluation workspace (single-thread paths)
   mutable std::mutex cone_mutex_;
   mutable std::unordered_map<NetId, std::unique_ptr<FaultCone>> cones_;
 };

@@ -45,7 +45,9 @@ std::uint32_t operand(const CompiledInstr& in, unsigned pin) {
 
 Podem::Podem(const CombinationalFrame& frame, std::size_t max_backtracks)
     : compiled_(frame.netlist().compiled()),
-      max_backtracks_(max_backtracks) {
+      max_backtracks_(max_backtracks),
+      input_slots_(frame.input_slots()),
+      obs_slots_(frame.observable_slots()) {
   const Netlist& nl = frame.netlist();
   const std::vector<CompiledInstr>& instrs = compiled_->instrs();
   const std::size_t slots = compiled_->slot_count();
@@ -56,22 +58,18 @@ Podem::Podem(const CombinationalFrame& frame, std::size_t max_backtracks)
   }
 
   input_of_slot_.assign(slots, kNpos);
-  input_slots_.reserve(frame.pattern_width());
-  const auto add_input = [&](NetId net) {
-    const std::uint32_t s = compiled_->slot(net);
-    input_of_slot_[s] = input_slots_.size();
-    input_slots_.push_back(s);
-  };
-  for (const NetId net : frame.pi_nets()) {
-    add_input(net);
-  }
-  for (const CellId flop : frame.flops()) {
-    add_input(nl.cell(flop).out);
+  for (std::size_t i = 0; i < input_slots_.size(); ++i) {
+    input_of_slot_[input_slots_[i]] = i;
   }
 
   // Baseline: everything X but constants and constrained inputs. Latch
   // outputs stay X; backtrace walks through them to the latch's fanin.
+  // The frame knows the Const1 sources; the cell walk adds what it does
+  // not: Const0 sources and the held fan-in of latches.
   baseline_.assign(slots, Tri{});
+  for (const std::uint32_t s : frame.const1_slots()) {
+    baseline_[s] = kOne;
+  }
   held_fanin_.assign(source_count_, {});
   for (CellId id = 0; id < nl.cell_count(); ++id) {
     const Cell& c = nl.cell(id);
@@ -82,8 +80,8 @@ Podem::Podem(const CombinationalFrame& frame, std::size_t max_backtracks)
     if (s >= source_count_ || input_of_slot_[s] != kNpos) {
       continue;
     }
-    if (c.type == CellType::Const0 || c.type == CellType::Const1) {
-      baseline_[s] = c.type == CellType::Const1 ? kOne : kZero;
+    if (c.type == CellType::Const0) {
+      baseline_[s] = kZero;
     }
     for (const NetId in : c.fanin) {
       held_fanin_[s].push_back(compiled_->slot(in));
@@ -96,13 +94,6 @@ Podem::Podem(const CombinationalFrame& frame, std::size_t max_backtracks)
   }
   for (const CompiledInstr& in : instrs) {
     baseline_[in.out] = CompiledNetlist::eval_instr(in, baseline_.data());
-  }
-
-  for (const NetId po : frame.po_nets()) {
-    obs_slots_.push_back(compiled_->slot(po));
-  }
-  for (const CellId flop : frame.flops()) {
-    obs_slots_.push_back(compiled_->slot(nl.cell(flop).fanin[0]));
   }
   frontier_.assign((instrs.size() + 63) / 64, 0);
 }

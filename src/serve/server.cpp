@@ -1,12 +1,15 @@
 #include "serve/server.hpp"
 
 #include <errno.h>
+#include <fcntl.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <sys/un.h>
 #include <unistd.h>
 
+#include <array>
 #include <cstring>
+#include <mutex>
 #include <thread>
 
 #include "retscan/runtime.hpp"
@@ -18,8 +21,28 @@ namespace retscan::serve {
 
 namespace {
 
-/// SIGTERM handlers can only do async-signal-safe work; they land here.
+/// SIGTERM handlers can only do async-signal-safe work; they land here:
+/// the flag, then a write to the signal pipe, whose read end every
+/// Server's accept loop polls. The pipe is made with the first Server and
+/// never drained, so once written it wakes every loop for good.
 std::atomic<bool> g_signal_shutdown{false};
+std::atomic<int> g_signal_wake{-1};
+int g_signal_wake_read = -1;
+std::once_flag g_signal_pipe_once;
+
+/// A non-blocking, close-on-exec pipe: {read end, write end}.
+std::array<int, 2> make_wake_pipe() {
+  std::array<int, 2> fds{-1, -1};
+  if (::pipe2(fds.data(), O_NONBLOCK | O_CLOEXEC) != 0) {
+    throw Error(std::string("pipe: ") + std::strerror(errno));
+  }
+  return fds;
+}
+
+void wake(int fd) noexcept {
+  const char byte = 1;
+  (void)!::write(fd, &byte, 1);  // a full pipe is already readable
+}
 
 /// Guard against protocol abuse / a client writing garbage forever.
 constexpr std::size_t kMaxLineBytes = 1u << 20;
@@ -67,7 +90,13 @@ Json error_response(const std::string& message) {
 }  // namespace
 
 void Server::notify_signal() noexcept {
+  const int saved_errno = errno;  // the interrupted code may be reading it
   g_signal_shutdown.store(true, std::memory_order_relaxed);
+  const int fd = g_signal_wake.load(std::memory_order_relaxed);
+  if (fd >= 0) {
+    wake(fd);
+  }
+  errno = saved_errno;
 }
 
 bool Server::shutdown_requested() const {
@@ -77,7 +106,22 @@ bool Server::shutdown_requested() const {
 Server::Server(const std::string& socket_path, const ServeOptions& options)
     : socket_path_(socket_path),
       listen_fd_(make_listener(socket_path)),
-      manager_(options) {}
+      manager_(options) {
+  try {
+    std::call_once(g_signal_pipe_once, [] {
+      const std::array<int, 2> fds = make_wake_pipe();
+      g_signal_wake_read = fds[0];
+      g_signal_wake.store(fds[1]);
+    });
+    const std::array<int, 2> fds = make_wake_pipe();
+    wake_read_ = fds[0];
+    wake_write_ = fds[1];
+  } catch (...) {
+    ::close(listen_fd_);
+    ::unlink(socket_path_.c_str());
+    throw;
+  }
+}
 
 Server::~Server() {
   if (listen_fd_ >= 0) {
@@ -85,47 +129,50 @@ Server::~Server() {
     ::unlink(socket_path_.c_str());
   }
   close_connections();
+  ::close(wake_read_);
+  ::close(wake_write_);
 }
 
 std::size_t Server::connections() const {
   const std::lock_guard<std::mutex> lock(connections_mutex_);
-  return connections_;
+  return connection_fds_.size();
 }
 
 void Server::close_connections() {
-  stopping_.store(true);
   std::unique_lock<std::mutex> lock(connections_mutex_);
-  connections_cv_.wait(lock, [this] { return connections_ == 0; });
+  for (const int fd : connection_fds_) {
+    ::shutdown(fd, SHUT_RD);
+  }
+  connections_cv_.wait(lock, [this] { return connection_fds_.empty(); });
 }
 
 void Server::run() {
+  // No timeout: a connection, a `shutdown` command or a signal wakes it.
+  std::array<pollfd, 3> fds{pollfd{listen_fd_, POLLIN, 0}, pollfd{wake_read_, POLLIN, 0},
+                            pollfd{g_signal_wake_read, POLLIN, 0}};
   while (!shutdown_requested()) {
-    pollfd pfd{listen_fd_, POLLIN, 0};
-    const int ready = ::poll(&pfd, 1, 200);
+    const int ready = ::poll(fds.data(), fds.size(), -1);
     if (ready < 0 && errno != EINTR) {
       break;
     }
-    if (ready <= 0 || (pfd.revents & POLLIN) == 0) {
+    if (ready <= 0 || (fds[0].revents & POLLIN) == 0) {
       continue;
     }
     const int fd = ::accept(listen_fd_, nullptr, nullptr);
     if (fd < 0) {
       continue;
     }
-    // 500 ms receive timeout: connection threads wake periodically to
-    // notice the drain instead of blocking in recv forever.
-    timeval timeout{0, 500 * 1000};
-    ::setsockopt(fd, SOL_SOCKET, SO_RCVTIMEO, &timeout, sizeof(timeout));
-    // Counted under the lock the thread's exit takes: a thread that fails
-    // to start is never counted, and the count never runs behind.
+    // Registered under the lock the thread's exit takes: a thread that
+    // fails to start is never registered, and its fd is never missed.
     const std::lock_guard<std::mutex> lock(connections_mutex_);
     std::thread([this, fd] {
       serve_connection(fd);
       const std::lock_guard<std::mutex> exit_lock(connections_mutex_);
-      --connections_;
+      connection_fds_.erase(fd);
+      ::close(fd);
       connections_cv_.notify_all();
     }).detach();
-    ++connections_;
+    connection_fds_.insert(fd);
   }
   // Graceful drain: no new connections, finish every accepted job, let
   // the connection threads answer their clients, then wait them out.
@@ -172,15 +219,13 @@ void Server::serve_connection(int fd) {
       buffer.append(chunk, static_cast<std::size_t>(n));
       continue;
     }
-    if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR)) {
-      if (stopping_.load()) {
-        break;  // drained and idle — the daemon is exiting
-      }
+    if (n < 0 && errno == EINTR) {
       continue;
     }
-    break;  // peer closed (SIGKILLed clients land here); its jobs live on
+    // Peer closed (SIGKILLed clients land here; its jobs live on), or the
+    // drain half-closed the connection.
+    break;
   }
-  ::close(fd);
 }
 
 Json Server::handle(const Json& request, int fd, bool& close_connection) {
@@ -275,6 +320,7 @@ Json Server::handle(const Json& request, int fd, bool& close_connection) {
   }
   if (cmd == "shutdown") {
     shutdown_.store(true);
+    wake(wake_write_);
     close_connection = true;
     response.set("ok", true).set("draining", true);
     return response;

@@ -21,7 +21,10 @@
 ///
 /// Shutdown (the `shutdown` command or SIGTERM via notify_signal()) is a
 /// drain: stop accepting, finish every queued and running job, answer the
-/// clients still connected, then return from run(). A client killed
+/// clients still connected, then return from run(). Nothing in it waits on
+/// a timer: both requests wake the accept loop through a pipe, and the
+/// drain half-closes every live connection (SHUT_RD) so an idle
+/// connection thread's recv returns at once. A client killed
 /// mid-flight (even SIGKILL) only drops its connection — the job it
 /// submitted keeps running and its result stays queryable (among the
 /// last JobManager::kFinishedJobsKept finished jobs), which is what the
@@ -31,6 +34,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
+#include <set>
 #include <string>
 
 #include "serve/job_manager.hpp"
@@ -52,7 +56,8 @@ class Server {
   void run();
 
   /// Async-signal-safe shutdown request for SIGTERM handlers: a relaxed
-  /// store on a process-global flag every Server polls.
+  /// store on a process-global flag, then one write(2) to a process-global
+  /// pipe every Server's accept loop polls.
   static void notify_signal() noexcept;
 
   const std::string& socket_path() const { return socket_path_; }
@@ -64,17 +69,22 @@ class Server {
   void serve_connection(int fd);
   Json handle(const Json& request, int fd, bool& close_connection);
   bool shutdown_requested() const;
-  /// Tell idle connection threads to exit and wait until none is left.
+  /// Half-close (SHUT_RD) every live connection, so idle connection
+  /// threads read EOF and exit, and wait until none is left.
   void close_connections();
 
   std::string socket_path_;
   int listen_fd_ = -1;
+  int wake_read_ = -1;   ///< readable once the `shutdown` command ran
+  int wake_write_ = -1;
   JobManager manager_;
   std::atomic<bool> shutdown_{false};
-  std::atomic<bool> stopping_{false};  ///< connection threads should exit
   mutable std::mutex connections_mutex_;
   std::condition_variable connections_cv_;  ///< a connection thread exited
-  std::size_t connections_ = 0;
+  /// Open fds of the live connections. A connection thread removes its fd
+  /// under connections_mutex_ before closing it, so close_connections never
+  /// shuts down a closed (or reused) fd.
+  std::set<int> connection_fds_;
 };
 
 }  // namespace retscan::serve

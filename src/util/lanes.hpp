@@ -192,10 +192,4 @@ inline bool operator==(const LaneBlock& a, const LaneBlock& b) {
 
 inline bool operator!=(const LaneBlock& a, const LaneBlock& b) { return !(a == b); }
 
-/// True when the LaneBlock kernels in the compiled library use the AVX2
-/// intrinsic path (as opposed to the portable auto-vectorized fallback).
-/// Defined in lanes.cpp so the answer reflects the library's own build
-/// flags, not those of the including translation unit.
-bool lane_block_simd_compiled();
-
 }  // namespace retscan

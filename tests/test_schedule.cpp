@@ -437,7 +437,7 @@ TEST(DirtyCone, ReplayDirtyMatchesForcedFullSweep) {
       forced.push_back(random_block());
     }
     const LaneBlock got =
-        frame.replay_dirty(fc, forced, batch, batch.good, workspace);
+        frame.replay_dirty(fc, forced, batch, workspace);
 
     // Oracle: full copy, force, one whole-stream sweep, manual observable OR.
     std::vector<LaneBlock> values = batch.settled;
@@ -466,9 +466,9 @@ TEST(DirtyCone, ReplayDirtyMatchesForcedFullSweep) {
     const LaneBlock forced_value =
         fault.stuck_at ? block_lane_mask(kLaneBlockBits) : LaneBlock{};
     const LaneBlock via_dirty =
-        frame.replay_dirty(fc, {forced_value}, batch, batch.good, workspace);
+        frame.replay_dirty(fc, {forced_value}, batch, workspace);
     const LaneBlock via_fault =
-        frame.detect_block(fault, batch, batch.good, workspace);
+        frame.detect_block(fault, frame.fault_cone(fault.net), batch, workspace);
     for (std::size_t w = 0; w < kLaneWords; ++w) {
       ASSERT_EQ(via_dirty.w[w], via_fault.w[w])
           << "fault " << fault_name(nl, fault) << " word " << w;

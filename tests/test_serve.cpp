@@ -886,6 +886,35 @@ TEST(ServeServer, ConnectionThreadsExitWithTheirClients) {
   EXPECT_EQ(server.connections(), 0u);
 }
 
+TEST(ServeServer, ShutdownWithAnIdleClientStopsAtOnce) {
+  const std::string socket_path =
+      (std::filesystem::path(::testing::TempDir()) / "serve_stop.sock")
+          .string();
+  // `shutdown` to run() returning, with another client connected and idle:
+  // the accept loop must wake on the command, and the idle connection's
+  // thread on the drain, not on a poll or receive timeout.
+  std::vector<double> stop_ms;
+  for (int trial = 0; trial < 5; ++trial) {
+    Server server(socket_path, ServeOptions{});
+    std::thread daemon([&] { server.run(); });
+    Client idle(socket_path);
+    idle.request(Json(Json::Object{}).set("cmd", "ping"));
+    const auto start = std::chrono::steady_clock::now();
+    {
+      Client client(socket_path);
+      client.request(Json(Json::Object{}).set("cmd", "shutdown"));
+    }
+    daemon.join();
+    stop_ms.push_back(std::chrono::duration<double, std::milli>(
+                          std::chrono::steady_clock::now() - start)
+                          .count());
+    EXPECT_EQ(server.connections(), 0u);
+  }
+  std::sort(stop_ms.begin(), stop_ms.end());
+  EXPECT_LT(stop_ms[stop_ms.size() / 2], 100.0)
+      << "median stop " << stop_ms[stop_ms.size() / 2] << " ms";
+}
+
 TEST(ServeServer, SubmitWaitAddsLittleOverTheJob) {
   const std::string socket_path =
       (std::filesystem::path(::testing::TempDir()) / "serve_latency.sock")
