@@ -81,7 +81,7 @@ bool from_string(std::string_view text, InjectionMode& out);
 struct ScanTestOptions {
   Backend backend = Backend::Auto;
   /// PackedParallel: patterns per pool shard, floored to whole 64-lane
-  /// batches; 0 → 256 (test_mode_patterns_per_shard).
+  /// batches; 0 → 256.
   std::size_t shard_size = 0;
 };
 
@@ -141,7 +141,7 @@ struct CampaignSpec {
   /// and 0 (unset) everywhere else — no other kind steps a clock.
   std::size_t cycles = 0;
 
-  // --- Durability (validation kinds, sharded backends) -----------------
+  // --- Durability (deadline: every kind; checkpoint: validation) -------
   /// Checkpoint journal path (`checkpoint =` spec key / `--checkpoint`):
   /// completed shards are appended as fixed-format CRC'd records via
   /// write-temp-then-atomic-rename, so an interrupted campaign loses at
@@ -154,34 +154,31 @@ struct CampaignSpec {
   /// order, and the rest run — the final CampaignResult is bit-identical
   /// to an uninterrupted run. Requires `checkpoint` to be set.
   bool resume = false;
-  /// Wall-clock budget (`deadline_ms =` / `--deadline-ms`): once elapsed,
-  /// shards not yet started are skipped and the result carries
+  /// Wall-clock budget (`deadline_ms =` / `--deadline-ms`), for every
+  /// kind: once elapsed, shards not yet started are skipped (ATPG stops at
+  /// its next committed target) and the result carries
   /// CampaignStatus::Timeout with the partial statistics (checkpointed if
   /// a journal is armed) instead of running forever. nullopt = no budget;
-  /// an explicit 0 is rejected by validate().
+  /// an explicit 0 is rejected by validate(), and so is a deadline on
+  /// Reference validation (one unsharded pass).
   std::optional<std::uint64_t> deadline_ms;
 };
 
 /// Everything a campaign produced. Only the section matching `kind` is
-/// populated; the execution-shape fields are always filled.
-struct CampaignResult {
+/// populated; the execution-shape fields are always filled. The shard
+/// tally (shard_count, status, shards_completed, shards_resumed) is the
+/// shard loop's: status is Complete unless a SIGINT / cancellation request
+/// or an expired deadline_ms stopped the run early; then the statistics
+/// cover shards_completed of shard_count shards and passed() is false
+/// regardless of the verdict counters.
+struct CampaignResult : parallel::ShardTally {
   CampaignKind kind = CampaignKind::Validation;
   Backend backend = Backend::Reference; ///< resolved strategy actually run
   /// Schedule the gate-level engines were asked to run (Auto means each
   /// engine probed its own activity; see `activity` for what that chose).
   Schedule schedule = Schedule::Sweep;
   unsigned threads = 1;
-  std::size_t shard_count = 1;
   double seconds = 0.0; ///< wall-clock of the campaign body
-
-  /// How the campaign ended (util/cancel.hpp). Complete unless a SIGINT /
-  /// cancellation request or an expired deadline_ms stopped it early; then
-  /// the statistics cover shards_completed of shard_count shards and
-  /// passed() is false regardless of the verdict counters.
-  CampaignStatus status = CampaignStatus::Complete;
-  std::size_t shards_completed = 0;
-  /// Shards merged from the checkpoint journal instead of rerun (--resume).
-  std::size_t shards_resumed = 0;
 
   /// Activity telemetry from the gate-level engines (avg_dirty_fraction(),
   /// event_sweeps, full_sweep_fallbacks, ...) — why Auto chose what it
@@ -239,7 +236,8 @@ struct RunHooks {
   /// uses a private token (global-cancel + deadline only).
   CancelToken* cancel = nullptr;
   /// Per-shard progress observer, (shards_done, shard_count); called from
-  /// pool threads. Sharded validation kinds only.
+  /// pool threads. Every kind: validation trial shards, coverage fault
+  /// shards, scan-test delivery shards (not the ATPG phase before them).
   std::function<void(std::size_t, std::size_t)> progress;
 };
 

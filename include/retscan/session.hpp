@@ -127,12 +127,12 @@ class Session {
   Session(BareTag, Netlist base, const SessionOptions& options);
 
   /// The one test-mode delivery behind run_scan_test() and scan-test
-  /// campaigns: picks the scalar tester (Reference, one shard) or the
-  /// 64-lane delivery on `pool`, whose plan is
-  /// test_mode_patterns_per_shard(shard_size); `shard_count` receives it.
+  /// campaigns, on the shard loop with `controls`: the scalar tester
+  /// (Reference, one shard) or the 64-lane delivery on `pool` in shards of
+  /// `shard_size` patterns (see apply_test_mode_scan_test_packed).
   ScanTestResult deliver_scan_test(const std::vector<BitVec>& patterns,
                                    Backend backend, std::size_t shard_size,
-                                   ThreadPool& pool, std::size_t& shard_count);
+                                   ThreadPool& pool, const parallel::RunControls& controls);
   friend CampaignResult run(Session&, const CampaignSpec&, const RunHooks&);
 
   SessionOptions options_;

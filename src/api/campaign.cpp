@@ -167,12 +167,6 @@ ValidationConfig validation_config(Session& session, const CampaignSpec& spec) {
 /// identically everywhere.
 using Fingerprint = Fnv1a;
 
-/// True when the spec carries any of the durability knobs this PR routes
-/// through the sharded campaign runner.
-bool wants_durability(const CampaignSpec& spec) {
-  return !spec.checkpoint.empty() || spec.resume || spec.deadline_ms.has_value();
-}
-
 void validate_durability(const CampaignSpec& spec, const Session& session) {
   if (spec.deadline_ms && *spec.deadline_ms == 0) {
     reject(spec,
@@ -185,19 +179,18 @@ void validate_durability(const CampaignSpec& spec, const Session& session) {
            "resume from — set checkpoint = <path> (the same path the "
            "interrupted run used)");
   }
-  if (!wants_durability(spec)) {
+  // A deadline rides every kind's shard loop. Checkpoint/resume need a
+  // journal codec, which only the validation shard outcome has.
+  if (!is_validation_kind(spec.kind)) {
+    if (!spec.checkpoint.empty()) {
+      reject(spec,
+             "checkpoint/resume ride the sharded validation campaign runner; "
+             "coverage and scan-test kinds replay a fault/pattern set in one "
+             "pass — split the workload and rerun instead");
+    }
     return;
   }
-  // Checkpoint/resume/deadline all ride the shard loop of the pooled
-  // campaign runner — the only place with a resumable unit of work.
-  if (!is_validation_kind(spec.kind)) {
-    reject(spec,
-           "checkpoint/resume/deadline_ms ride the sharded validation "
-           "campaign runner; coverage and scan-test kinds replay a "
-           "fault/pattern set in one pass — split the workload and rerun "
-           "instead");
-  }
-  if (spec.backend == Backend::Reference) {
+  if (spec.backend == Backend::Reference && (!spec.checkpoint.empty() || spec.deadline_ms)) {
     reject(spec,
            "checkpoint/resume/deadline_ms need the sharded campaign runner, "
            "but Backend::Reference runs one unsharded pass with nothing to "
@@ -470,7 +463,8 @@ parallel::CampaignRunner& select_runner(
 }
 
 void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
-                    const RunHooks& hooks, CampaignResult& result) {
+                    parallel::CampaignRunner& runner,
+                    const parallel::RunControls& controls, CampaignResult& result) {
   ValidationConfig config = validation_config(session, spec);
   const bool behavioral = spec.tier == ValidationTier::Behavioral;
   // Reference is the scalar full-sweep oracle the event scheduler is
@@ -481,68 +475,41 @@ void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
     config.schedule = Schedule::Sweep;
   }
   result.schedule = runtime_schedule(config.schedule);
-  switch (backend) {
-    case Backend::Reference:
-      if (behavioral) {
-        result.validation = FastTestbench(config).run(spec.sequences);
-      } else {
-        StructuralTestbench bench(config);
-        result.validation = bench.run(spec.sequences);
-        result.activity = bench.take_telemetry();
-      }
-      result.threads = 1;
-      result.shard_count = 1;
-      result.shards_completed = 1;
-      break;
-    case Backend::PackedParallel:
-    default: {
-      std::unique_ptr<parallel::CampaignRunner> local;
-      parallel::CampaignRunner& runner =
-          select_runner(session, spec, backend, hooks, local);
-      // Durability hooks: a cancel token (SIGINT via the global flag plus
-      // the spec's deadline budget) and, when armed, the checkpoint
-      // journal. A service passes its own per-job token via RunHooks so it
-      // can cancel this campaign without touching the others; the deadline
-      // is armed on whichever token is in play. validate() has already
-      // vetted the checkpoint path and, for resume, the journal header —
-      // constructing the journal re-checks both anyway (TOCTOU-safe).
-      CancelToken local_cancel;
-      CancelToken* cancel = hooks.cancel != nullptr ? hooks.cancel : &local_cancel;
-      if (spec.deadline_ms) {
-        cancel->set_deadline_ms(*spec.deadline_ms);
-      }
-      parallel::RunControls controls;
-      controls.cancel = cancel;
-      controls.progress = hooks.progress;
-      std::unique_ptr<CampaignJournal> journal;
-      if (!spec.checkpoint.empty()) {
-        journal = std::make_unique<CampaignJournal>(
-            spec.checkpoint, campaign_fingerprint(spec, session), spec.seed,
-            spec.resume ? CampaignJournal::Mode::Resume
-                        : CampaignJournal::Mode::Truncate);
-        controls.journal = journal.get();
-      }
-      const parallel::CampaignReport report =
-          behavioral
-              ? runner.run_fast(config, spec.sequences, spec.shard_size, controls)
-              : runner.run_structural_packed(config, spec.sequences,
-                                             spec.shard_size, controls);
-      result.validation = report.stats;
-      result.activity = report.telemetry;
-      result.threads = report.threads;
-      result.shard_count = report.shard_count;
-      result.status = report.status;
-      result.shards_completed = report.shards_completed;
-      result.shards_resumed = report.shards_resumed;
-      break;
+  if (backend == Backend::Reference) {
+    if (behavioral) {
+      result.validation = FastTestbench(config).run(spec.sequences);
+    } else {
+      StructuralTestbench bench(config);
+      result.validation = bench.run(spec.sequences);
+      result.activity = bench.take_telemetry();
     }
+    result.shard_count = result.shards_completed = 1;
+    return;
   }
+  // validate() has already vetted the checkpoint path and, for resume, the
+  // journal header — constructing the journal re-checks both anyway
+  // (TOCTOU-safe).
+  std::unique_ptr<CampaignJournal> journal;
+  parallel::RunControls durable = controls;
+  if (!spec.checkpoint.empty()) {
+    journal = std::make_unique<CampaignJournal>(
+        spec.checkpoint, campaign_fingerprint(spec, session), spec.seed,
+        spec.resume ? CampaignJournal::Mode::Resume : CampaignJournal::Mode::Truncate);
+    durable.journal = journal.get();
+  }
+  const parallel::CampaignReport report =
+      behavioral ? runner.run_fast(config, spec.sequences, spec.shard_size, durable)
+                 : runner.run_structural_packed(config, spec.sequences, spec.shard_size,
+                                                durable);
+  result.validation = report.stats;
+  result.activity = report.telemetry;
+  static_cast<parallel::ShardTally&>(result) = report;
 }
 
 /// The coverage kinds: one fault universe and one simulator per kind, all
-/// graded on the same sharded driver.
-void run_coverage(Session& session, const CampaignSpec& spec,
-                  parallel::CampaignRunner& runner, CampaignResult& result) {
+/// graded on the shard loop.
+void run_coverage(Session& session, const CampaignSpec& spec, ThreadPool& pool,
+                  const parallel::RunControls& controls, CampaignResult& result) {
   const bool sequential = spec.kind == CampaignKind::SequentialCoverage;
   const std::size_t shard = spec.shard_size != 0 ? spec.shard_size
                             : sequential         ? grading::kSequentialShard
@@ -552,11 +519,13 @@ void run_coverage(Session& session, const CampaignSpec& spec,
   switch (spec.kind) {
     case CampaignKind::TransitionDelay:
       result.faults = transition_fault_simulate(
-          frame, enumerate_transition_faults(session.netlist()), patterns, runner.pool(), shard);
+          frame, enumerate_transition_faults(session.netlist()), patterns, pool, shard,
+          controls);
       break;
     case CampaignKind::Bridging:
       result.faults = bridging_fault_simulate(
-          frame, enumerate_bridging_faults(session.netlist()), patterns, runner.pool(), shard);
+          frame, enumerate_bridging_faults(session.netlist()), patterns, pool, shard,
+          controls);
       break;
     case CampaignKind::SequentialCoverage:
       // The session's gate-level netlist, no scan frame: the same collapsed
@@ -564,15 +533,13 @@ void run_coverage(Session& session, const CampaignSpec& spec,
       // simulation instead of scan capture.
       result.faults = sequential_fault_simulate(session.netlist(), session.faults(),
                                                 spec.sequences, spec.cycles, spec.seed,
-                                                runner.pool(), shard);
+                                                pool, shard, controls);
       break;
     default:
-      result.faults = fault_simulate(frame, session.faults(), patterns, runner.pool(), shard);
+      result.faults = fault_simulate(frame, session.faults(), patterns, pool, shard, controls);
       break;
   }
-  result.threads = runner.threads();
-  result.shard_count = grading::shard_count(result.faults.total_faults, shard);
-  result.shards_completed = result.shard_count;
+  static_cast<parallel::ShardTally&>(result) = result.faults.shards;
 }
 
 }  // namespace
@@ -588,32 +555,43 @@ CampaignResult run(Session& session, const CampaignSpec& spec,
   result.kind = spec.kind;
   result.backend = backend;
   const auto start = std::chrono::steady_clock::now();
-  switch (spec.kind) {
-    case CampaignKind::Validation:
-    case CampaignKind::Injection:
-      run_validation(session, spec, backend, hooks, result);
-      break;
-    default: {
-      // One runner, honouring the spec's threads knob and the service
-      // hooks, for the ATPG and for the grading or delivery after it.
-      std::unique_ptr<parallel::CampaignRunner> local;
-      parallel::CampaignRunner& runner = select_runner(session, spec, backend, hooks, local);
-      if (is_pattern_kind(spec.kind)) {
-        AtpgOptions options = spec.atpg;
-        options.seed = spec.seed;
-        result.atpg = run_atpg(session.frame(), session.faults(), options, &runner.pool());
-      }
-      if (spec.kind == CampaignKind::ScanTest) {
-        // The same delivery as Session::run_scan_test.
-        result.scan_test = session.deliver_scan_test(result.atpg.patterns, backend,
-                                                     spec.shard_size, runner.pool(),
-                                                     result.shard_count);
-        result.threads = runner.threads();
-        result.shards_completed = result.shard_count;
-      } else {
-        run_coverage(session, spec, runner, result);
-      }
-      break;
+  // One runner, honouring the spec's threads knob and the service hooks.
+  std::unique_ptr<parallel::CampaignRunner> local;
+  parallel::CampaignRunner& runner = select_runner(session, spec, backend, hooks, local);
+  result.threads = runner.threads();
+  // One cancel token for every kind: a service's per-job token via
+  // RunHooks (so it can cancel this campaign without touching the others),
+  // else a private one; either observes SIGINT through the global flag, and
+  // the spec's deadline is armed on whichever is in play.
+  CancelToken local_cancel;
+  CancelToken* cancel = hooks.cancel != nullptr ? hooks.cancel : &local_cancel;
+  if (spec.deadline_ms) {
+    cancel->set_deadline_ms(*spec.deadline_ms);
+  }
+  const parallel::RunControls controls{cancel, nullptr, hooks.progress};
+  if (is_validation_kind(spec.kind)) {
+    run_validation(session, spec, backend, runner, controls, result);
+  } else {
+    // A pattern set cut short leaves the run partial even where the stage
+    // after it has no shard left to skip.
+    bool atpg_stopped = false;
+    if (is_pattern_kind(spec.kind)) {
+      AtpgOptions options = spec.atpg;
+      options.seed = spec.seed;
+      result.atpg =
+          run_atpg(session.frame(), session.faults(), options, &runner.pool(), cancel);
+      atpg_stopped = cancel->cancelled();
+    }
+    if (spec.kind == CampaignKind::ScanTest) {
+      // The same delivery as Session::run_scan_test.
+      result.scan_test = session.deliver_scan_test(result.atpg.patterns, backend,
+                                                   spec.shard_size, runner.pool(), controls);
+      static_cast<parallel::ShardTally&>(result) = result.scan_test.shards;
+    } else {
+      run_coverage(session, spec, runner.pool(), controls, result);
+    }
+    if (atpg_stopped) {
+      result.status = parallel::stopped_status(cancel);
     }
   }
   result.seconds =

@@ -196,21 +196,26 @@ ScanTestResult Session::run_scan_test(const std::vector<BitVec>& patterns,
     }
   }
 
-  std::size_t shard_count = 0;
-  return deliver_scan_test(patterns, options.backend, options.shard_size, pool(),
-                           shard_count);
+  return deliver_scan_test(patterns, options.backend, options.shard_size, pool(), {});
 }
 
 ScanTestResult Session::deliver_scan_test(const std::vector<BitVec>& patterns,
                                           Backend backend, std::size_t shard_size,
-                                          ThreadPool& pool, std::size_t& shard_count) {
-  if (backend == Backend::Reference) {
-    shard_count = 1;
-    return apply_test_mode_scan_test(retention(), design(), frame(), patterns);
+                                          ThreadPool& pool,
+                                          const parallel::RunControls& controls) {
+  if (backend != Backend::Reference) {
+    return apply_test_mode_scan_test_packed(design(), frame(), patterns, pool, shard_size,
+                                            controls);
   }
-  const std::size_t per_shard = test_mode_patterns_per_shard(shard_size);
-  shard_count = (patterns.size() + per_shard - 1) / per_shard;
-  return apply_test_mode_scan_test_packed(design(), frame(), patterns, pool, shard_size);
+  // The scalar tester is one unsharded shard on the loop, so a cancel or
+  // deadline reaches it too.
+  const parallel::ShardReport<ScanTestResult> loop = parallel::run_shards<ScanTestResult>(
+      pool, patterns.size(), 0, controls, [&](const parallel::ShardRange&) {
+        return apply_test_mode_scan_test(retention(), design(), frame(), patterns);
+      });
+  ScanTestResult result = loop.merged;
+  result.shards = loop;
+  return result;
 }
 
 AtpgResult Session::run_atpg(const AtpgOptions& options) {

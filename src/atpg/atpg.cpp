@@ -9,6 +9,7 @@
 #include <optional>
 #include <utility>
 
+#include "util/cancel.hpp"
 #include "util/thread_pool.hpp"
 
 namespace retscan {
@@ -126,7 +127,8 @@ class Drain {
 }  // namespace
 
 AtpgResult run_atpg(const CombinationalFrame& frame, const std::vector<Fault>& faults,
-                    const AtpgOptions& options, ThreadPool* pool) {
+                    const AtpgOptions& options, ThreadPool* pool,
+                    const CancelToken* cancel) {
   AtpgResult result;
   result.total_faults = faults.size();
   Rng rng(options.seed);
@@ -143,7 +145,8 @@ AtpgResult run_atpg(const CombinationalFrame& frame, const std::vector<Fault>& f
   }
   std::optional<ThreadPool> serial;
   ThreadPool& grading_pool = pool != nullptr ? *pool : serial.emplace(1);
-  const FaultSimResult graded = fault_simulate(frame, faults, random, grading_pool);
+  const FaultSimResult graded =
+      fault_simulate(frame, faults, random, grading_pool, grading::kShard, {cancel});
   std::vector<std::atomic<bool>> detected(faults.size());
   std::vector<bool> useful(random.size(), false);
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {
@@ -188,6 +191,9 @@ AtpgResult run_atpg(const CombinationalFrame& frame, const std::vector<Fault>& f
   std::size_t enqueued = 0;
 
   for (std::size_t k = 0; k < survivors.size() && remaining > 0; ++k) {
+    if (cancel != nullptr && cancel->cancelled()) {
+      break;  // the targets not yet committed stay undetected
+    }
     if (speculate) {
       const std::size_t limit = std::min(survivors.size(), k + 1 + lookahead);
       {

@@ -71,7 +71,11 @@ struct AtpgResult {
 /// The result is a pure function of (frame, faults, options) at any pool
 /// size: the same seed yields the same pattern set, because a search draws
 /// no random numbers and fills are drawn only at commit, in fault order.
+/// A `cancel` token reaches phase 1's grading shard loop and is polled once
+/// per committed target in phase 2; once it fires, the result holds what
+/// was generated so far.
 AtpgResult run_atpg(const CombinationalFrame& frame, const std::vector<Fault>& faults,
-                    const AtpgOptions& options, ThreadPool* pool = nullptr);
+                    const AtpgOptions& options, ThreadPool* pool = nullptr,
+                    const CancelToken* cancel = nullptr);
 
 }  // namespace retscan

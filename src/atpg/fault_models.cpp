@@ -67,11 +67,12 @@ struct TransitionModel {
 FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
                                          const std::vector<TransitionFault>& faults,
                                          const std::vector<BitVec>& patterns,
-                                         ThreadPool& pool, std::size_t fault_shard) {
+                                         ThreadPool& pool, std::size_t fault_shard,
+                                         const parallel::RunControls& controls) {
   TransitionModel model{frame, faults, patterns, frame.netlist().compiled(), {}, {}};
   const std::size_t pairs = patterns.size() < 2 ? 0 : patterns.size() - 1;
   return grading::grade(model, faults.size(), grading::block_count(pairs), pool,
-                        fault_shard);
+                        fault_shard, controls);
 }
 
 // --- bridging faults --------------------------------------------------------
@@ -158,10 +159,11 @@ struct BridgingModel {
 FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
                                        const std::vector<BridgingFault>& faults,
                                        const std::vector<BitVec>& patterns,
-                                       ThreadPool& pool, std::size_t fault_shard) {
+                                       ThreadPool& pool, std::size_t fault_shard,
+                                       const parallel::RunControls& controls) {
   BridgingModel model{frame, faults, patterns, frame.netlist().compiled(), {}};
   return grading::grade(model, faults.size(), grading::block_count(patterns.size()),
-                        pool, fault_shard);
+                        pool, fault_shard, controls);
 }
 
 // --- sequential multi-cycle stuck-at ----------------------------------------
@@ -337,13 +339,14 @@ FaultSimResult sequential_fault_simulate(const Netlist& netlist,
                                          const std::vector<Fault>& faults,
                                          std::size_t sequences, std::size_t cycles,
                                          std::uint64_t seed, ThreadPool& pool,
-                                         std::size_t fault_shard) {
+                                         std::size_t fault_shard,
+                                         const parallel::RunControls& controls) {
   // The frame supplies the slot layout only; sequential grading never
   // loads a scan pattern.
   const CombinationalFrame frame(netlist);
   SequentialModel model{frame, faults, sequences, cycles, seed, {}};
   const std::size_t blocks = cycles == 0 ? 0 : grading::block_count(sequences);
-  return grading::grade(model, faults.size(), blocks, pool, fault_shard);
+  return grading::grade(model, faults.size(), blocks, pool, fault_shard, controls);
 }
 
 }  // namespace retscan

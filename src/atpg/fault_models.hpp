@@ -45,7 +45,8 @@ FaultSimResult transition_fault_simulate(const CombinationalFrame& frame,
                                          const std::vector<TransitionFault>& faults,
                                          const std::vector<BitVec>& patterns,
                                          ThreadPool& pool,
-                                         std::size_t fault_shard = grading::kShard);
+                                         std::size_t fault_shard = grading::kShard,
+                                       const parallel::RunControls& controls = {});
 
 /// Bridging fault between two nets with wired-AND or wired-OR dominance:
 /// both nets take a OP b whenever the pattern drives them apart. Simulated
@@ -75,7 +76,8 @@ FaultSimResult bridging_fault_simulate(const CombinationalFrame& frame,
                                        const std::vector<BridgingFault>& faults,
                                        const std::vector<BitVec>& patterns,
                                        ThreadPool& pool,
-                                       std::size_t fault_shard = grading::kShard);
+                                       std::size_t fault_shard = grading::kShard,
+                                       const parallel::RunControls& controls = {});
 
 /// Sequential multi-cycle stuck-at fault simulation for '89-class circuits:
 /// no scan access — lanes are independent random primary-input sequences of
@@ -89,6 +91,7 @@ FaultSimResult sequential_fault_simulate(const Netlist& netlist,
                                          const std::vector<Fault>& faults,
                                          std::size_t sequences, std::size_t cycles,
                                          std::uint64_t seed, ThreadPool& pool,
-                                         std::size_t fault_shard = grading::kSequentialShard);
+                                         std::size_t fault_shard = grading::kSequentialShard,
+                                         const parallel::RunControls& controls = {});
 
 }  // namespace retscan

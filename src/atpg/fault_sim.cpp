@@ -317,10 +317,11 @@ struct StuckAtModel {
 FaultSimResult fault_simulate(const CombinationalFrame& frame,
                               const std::vector<Fault>& faults,
                               const std::vector<BitVec>& patterns,
-                              ThreadPool& pool, std::size_t fault_shard) {
+                              ThreadPool& pool, std::size_t fault_shard,
+                              const parallel::RunControls& controls) {
   StuckAtModel model{frame, faults, patterns, {}};
   return grading::grade(model, faults.size(), grading::block_count(patterns.size()),
-                        pool, fault_shard);
+                        pool, fault_shard, controls);
 }
 
 }  // namespace retscan

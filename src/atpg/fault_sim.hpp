@@ -9,6 +9,7 @@
 
 #include "atpg/fault.hpp"
 #include "netlist/netlist.hpp"
+#include "parallel/shard_loop.hpp"
 #include "sim/compiled_netlist.hpp"
 #include "util/bitvec.hpp"
 #include "util/rng.hpp"
@@ -186,6 +187,9 @@ struct FaultSimResult {
   std::size_t detected = 0;
   /// detected_by[i] = index of the first detecting pattern, or npos.
   std::vector<std::size_t> detected_by;
+  /// How far the grading shard loop got: a cancelled or timed-out run
+  /// grades only shards_completed fault shards (the rest stay npos).
+  parallel::ShardTally shards;
   double coverage() const {
     return total_faults == 0 ? 1.0
                              : static_cast<double>(detected) / static_cast<double>(total_faults);
@@ -199,12 +203,6 @@ namespace grading {
 /// campaign router, where CampaignSpec::shard_size = 0 resolves to these.
 inline constexpr std::size_t kShard = 128;
 inline constexpr std::size_t kSequentialShard = 64;
-
-/// Shards a list of `faults` is cut into at `fault_shard` per shard (0 → 1).
-inline std::size_t shard_count(std::size_t faults, std::size_t fault_shard) {
-  fault_shard = fault_shard == 0 ? 1 : fault_shard;
-  return (faults + fault_shard - 1) / fault_shard;
-}
 }  // namespace grading
 
 /// Stuck-at fault simulation with fault dropping. Pattern batches are
@@ -213,10 +211,12 @@ inline std::size_t shard_count(std::size_t faults, std::size_t fault_shard) {
 /// including the index of the first detecting pattern — are a pure function
 /// of (fault, patterns), so the result is identical at any thread count and
 /// shard size; a 1-thread pool runs the shards inline. `fault_shard` is the
-/// fault-list chunk a worker claims at a time.
+/// fault-list chunk a worker claims at a time; `controls` reach the shard
+/// loop (cancel, progress).
 FaultSimResult fault_simulate(const CombinationalFrame& frame,
                               const std::vector<Fault>& faults,
                               const std::vector<BitVec>& patterns,
-                              ThreadPool& pool, std::size_t fault_shard = grading::kShard);
+                              ThreadPool& pool, std::size_t fault_shard = grading::kShard,
+                              const parallel::RunControls& controls = {});
 
 }  // namespace retscan

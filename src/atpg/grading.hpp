@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "atpg/fault_sim.hpp"
+#include "parallel/shard_loop.hpp"
 #include "util/lanes.hpp"
 #include "util/thread_pool.hpp"
 
@@ -29,50 +30,51 @@ inline std::size_t block_count(std::size_t tests) {
 ///   LaneBlock detect(fault, block, Shard&) const;   // lane t set iff test
 ///                                     // block*kLaneBlockBits + t detects
 ///
-/// The driver owns the rest: the fault list is cut into shards of
-/// `fault_shard` faults (0 → 1) run across `pool`; each shard walks the
-/// blocks in order and drops a fault at its first detecting block, so
-/// detected_by[i] is the first detecting test and a pure function of
-/// (fault, tests) — identical at any thread count and shard size. Shards
-/// write disjoint detected_by slots; their detection counts are summed in
-/// shard order. `detect` is a template call and inlines into the loop.
+/// The fault list is cut into shards of `fault_shard` faults (0 → 1) and
+/// run on the shard loop (parallel::run_shards), which owns cancellation,
+/// progress and the shard tally. Each shard walks the blocks in order and
+/// drops a fault at its first detecting block, so detected_by[i] is the
+/// first detecting test and a pure function of (fault, tests) — identical
+/// at any thread count and shard size. Shards write disjoint detected_by
+/// slots; their detection counts are summed in shard order. `detect` is a
+/// template call and inlines into the loop.
 template <typename Model>
 FaultSimResult grade(Model& model, std::size_t fault_count, std::size_t blocks,
-                     ThreadPool& pool, std::size_t fault_shard) {
+                     ThreadPool& pool, std::size_t fault_shard,
+                     const parallel::RunControls& controls) {
   FaultSimResult result;
   result.total_faults = fault_count;
   result.detected_by.assign(fault_count, FaultSimResult::npos);
-  if (fault_count == 0 || blocks == 0) {
-    return result;
+  if (blocks != 0) {
+    model.prepare(pool);
   }
-  fault_shard = std::max<std::size_t>(fault_shard, 1);
-  model.prepare(pool);
-
-  const std::size_t shards = shard_count(fault_count, fault_shard);
-  std::vector<std::size_t> shard_detected(shards, 0);
-  pool.parallel_for(shards, [&](std::size_t s) {
-    const std::size_t first = s * fault_shard;
-    const std::size_t last = std::min(fault_count, first + fault_shard);
-    auto workspace = model.shard(first, last);
-    std::vector<std::size_t> live(last - first);
-    std::iota(live.begin(), live.end(), first);
-    for (std::size_t block = 0; block < blocks && !live.empty(); ++block) {
-      std::size_t kept = 0;
-      for (const std::size_t fi : live) {
-        const LaneBlock mask = model.detect(fi, block, workspace);
-        if (block_any(mask)) {
-          result.detected_by[fi] = block * kLaneBlockBits + block_first_lane(mask);
-          ++shard_detected[s];
-        } else {
-          live[kept++] = fi;
+  const parallel::ShardReport<std::size_t> loop = parallel::run_shards<std::size_t>(
+      pool, fault_count, std::max<std::size_t>(fault_shard, 1), controls,
+      [&](const parallel::ShardRange& range) {
+        std::size_t detected = 0;
+        if (blocks == 0) {
+          return detected;  // nothing to grade, but the loop still tallies
         }
-      }
-      live.resize(kept);
-    }
-  });
-  for (const std::size_t count : shard_detected) {
-    result.detected += count;
-  }
+        auto workspace = model.shard(range.first, range.first + range.count);
+        std::vector<std::size_t> live(range.count);
+        std::iota(live.begin(), live.end(), range.first);
+        for (std::size_t block = 0; block < blocks && !live.empty(); ++block) {
+          std::size_t kept = 0;
+          for (const std::size_t fi : live) {
+            const LaneBlock mask = model.detect(fi, block, workspace);
+            if (block_any(mask)) {
+              result.detected_by[fi] = block * kLaneBlockBits + block_first_lane(mask);
+              ++detected;
+            } else {
+              live[kept++] = fi;
+            }
+          }
+          live.resize(kept);
+        }
+        return detected;
+      });
+  result.detected = loop.merged;
+  result.shards = loop;
   return result;
 }
 

@@ -308,24 +308,21 @@ ScanTestResult run_test_mode_packed_range(const ProtectedDesign& design,
 ScanTestResult apply_test_mode_scan_test_packed(const ProtectedDesign& design,
                                                 const CombinationalFrame& frame,
                                                 const std::vector<BitVec>& patterns,
-                                                ThreadPool& pool,
-                                                std::size_t shard_size) {
-  // Shards are whole 64-lane batches, so every shard plan forms exactly the
-  // same batches.
-  const std::size_t per_shard = test_mode_patterns_per_shard(shard_size);
-  const std::size_t shard_count = (patterns.size() + per_shard - 1) / per_shard;
-  std::vector<ScanTestResult> partial(shard_count);
-  pool.parallel_for(shard_count, [&](std::size_t s) {
-    const std::size_t first = s * per_shard;
-    const std::size_t count = std::min(per_shard, patterns.size() - first);
-    partial[s] = run_test_mode_packed_range(design, frame, patterns, first, count);
-  });
-  ScanTestResult merged;
-  for (const ScanTestResult& p : partial) {
-    merged.patterns_applied += p.patterns_applied;
-    merged.mismatches += p.mismatches;
-  }
-  return merged;
+                                                ThreadPool& pool, std::size_t shard_size,
+                                                const parallel::RunControls& controls) {
+  // Shards are whole 64-lane batches (256 patterns when none is asked), so
+  // every shard plan forms exactly the same batches.
+  const std::size_t lanes = PackedSim::lane_count();
+  const std::size_t per_shard =
+      std::max(lanes, (shard_size == 0 ? 256 : shard_size) / lanes * lanes);
+  const parallel::ShardReport<ScanTestResult> loop = parallel::run_shards<ScanTestResult>(
+      pool, patterns.size(), per_shard, controls,
+      [&](const parallel::ShardRange& shard) {
+        return run_test_mode_packed_range(design, frame, patterns, shard.first, shard.count);
+      });
+  ScanTestResult result = loop.merged;
+  result.shards = loop;
+  return result;
 }
 
 }  // namespace retscan

@@ -1,11 +1,11 @@
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
 #include <vector>
 
 #include "atpg/fault_sim.hpp"
 #include "core/protected_design.hpp"
+#include "parallel/shard_loop.hpp"
 #include "scan/scan_insert.hpp"
 #include "sim/packed_sim.hpp"
 #include "sim/simulator.hpp"
@@ -23,26 +23,18 @@ namespace retscan {
 /// route onto the two test-mode deliveries below; the full-width overloads
 /// serve plain scanned netlists, which a Session never wraps.
 
-/// Patterns per shard of the pooled test-mode delivery when none is asked.
-inline constexpr std::size_t kTestModeShard = 256;
-
-/// Shard geometry of the pooled test-mode delivery: `requested` patterns
-/// per shard (0 → kTestModeShard), floored to whole 64-lane batches
-/// (minimum one batch). The pooled delivery and CampaignResult::shard_count
-/// both derive their shard plan from this one function.
-inline std::size_t test_mode_patterns_per_shard(std::size_t requested) {
-  const std::size_t lanes = PackedSim::lane_count();
-  if (requested == 0) {
-    requested = kTestModeShard;
-  }
-  return std::max<std::size_t>(lanes, requested / lanes * lanes);
-}
-
 /// Result of applying a pattern set through scan.
 struct ScanTestResult {
   std::size_t patterns_applied = 0;
   std::size_t mismatches = 0;  ///< responses differing from the good machine
+  /// How far the delivery's shard loop got.
+  parallel::ShardTally shards;
   bool all_passed() const { return mismatches == 0; }
+  ScanTestResult& operator+=(const ScanTestResult& other) {
+    patterns_applied += other.patterns_applied;
+    mismatches += other.mismatches;
+    return *this;
+  }
 };
 
 /// Apply patterns to a plain scanned design through its per-chain si/so
@@ -67,16 +59,17 @@ ScanTestResult apply_test_mode_scan_test(RetentionSession& session,
                                          const std::vector<BitVec>& patterns);
 
 /// 64-lane test-mode delivery: one lane per pattern through the same
-/// tsi/tso concatenation. The pattern set is sharded into
-/// test_mode_patterns_per_shard(shard_size) chunks across the pool and every
-/// shard drives its own PackedSim over the design (scan loading fully
-/// overwrites the state each batch, so shards are independent and the
-/// merged result is identical at any thread count; a 1-thread pool is the
-/// serial path).
+/// tsi/tso concatenation. The pattern set is cut into shards of
+/// `shard_size` patterns (0 → 256, floored to whole 64-lane batches) on the
+/// shard loop, which `controls` reach (cancel, progress). Every shard
+/// drives its own PackedSim over the design (scan loading fully overwrites
+/// the state each batch, so shards are independent and the merged result
+/// is identical at any thread count; a 1-thread pool is the serial path).
 ScanTestResult apply_test_mode_scan_test_packed(const ProtectedDesign& design,
                                                 const CombinationalFrame& frame,
                                                 const std::vector<BitVec>& patterns,
                                                 ThreadPool& pool,
-                                                std::size_t shard_size = 0);
+                                                std::size_t shard_size = 0,
+                                                const parallel::RunControls& controls = {});
 
 }  // namespace retscan

@@ -1,34 +1,12 @@
 #include "parallel/campaign_runner.hpp"
 
-#include <atomic>
 #include <mutex>
-#include <optional>
 
 #include "sim/packed_sim.hpp"
-#include "util/failpoint.hpp"
 #include "util/journal.hpp"
 #include "util/rng.hpp"
 
 namespace retscan::parallel {
-
-std::vector<ShardRange> plan_shards(std::size_t total, std::size_t shard_size) {
-  std::vector<ShardRange> shards;
-  if (total == 0) {
-    return shards;
-  }
-  if (shard_size == 0) {
-    shard_size = total;
-  }
-  shards.reserve((total + shard_size - 1) / shard_size);
-  for (std::size_t first = 0; first < total; first += shard_size) {
-    ShardRange shard;
-    shard.index = shards.size();
-    shard.first = first;
-    shard.count = std::min(shard_size, total - first);
-    shards.push_back(shard);
-  }
-  return shards;
-}
 
 std::uint64_t shard_seed(std::uint64_t campaign_seed, std::uint64_t index) {
   return Rng::derive_stream(campaign_seed, index);
@@ -169,91 +147,22 @@ ShardOutcome decode_outcome(const JournalRecord& record) {
   return outcome;
 }
 
-/// Shared campaign driver — the one copy of the shard/merge logic: per-shard
-/// config with a derived seed stream, run_shard runs a testbench tier
-/// against it, per-shard outcomes merge in shard-index order. The
-/// RunControls hooks slot in around that invariant: journaled shards merge
-/// from the checkpoint instead of rerunning, a cancelled token (or a
-/// Cancelled thrown out of a settle loop) leaves shards incomplete rather
-/// than failing the campaign, and every completed shard is appended to the
-/// journal the moment it finishes. Because the shard plan, the per-shard
-/// seeds and the merge order never depend on which shards came from the
-/// journal, a resumed campaign is bit-identical to an uninterrupted one.
+/// Validation on the one shard loop: per-shard config with a derived seed
+/// stream, run_shard runs a testbench tier against it, and the journal
+/// stores the flattened outcomes.
 template <typename RunShard>
 CampaignReport run_campaign(CampaignRunner& runner, const ValidationConfig& config,
                             std::size_t count, std::size_t shard_size,
                             const RunControls& controls, RunShard&& run_shard) {
-  CampaignReport report;
-  report.threads = runner.threads();
-  const std::vector<ShardRange> shards = plan_shards(count, shard_size);
-  report.shard_count = shards.size();
-  if (controls.journal != nullptr) {
-    controls.journal->bind_plan(count, shard_size, shards.size());
-  }
-
-  std::vector<std::optional<ShardOutcome>> partial(shards.size());
-  std::atomic<std::size_t> resumed{0};
-  std::atomic<std::size_t> settled{0};
-  const auto note_progress = [&] {
-    if (controls.progress) {
-      controls.progress(settled.fetch_add(1, std::memory_order_relaxed) + 1,
-                        shards.size());
-    }
-  };
-  const std::function<void(std::size_t)> shard_body = [&](std::size_t s) {
-    if (controls.journal != nullptr) {
-      if (const std::optional<JournalRecord> record =
-              controls.journal->find(shards[s].index)) {
-        partial[s] = decode_outcome(*record);
-        resumed.fetch_add(1, std::memory_order_relaxed);
-        note_progress();
-        return;
-      }
-    }
-    if (controls.cancel != nullptr && controls.cancel->cancelled()) {
-      return;  // skip: merged below as "not completed"
-    }
-    failpoint("shard.run");
-    ValidationConfig shard_config = config;
-    shard_config.seed = shard_seed(config.seed, shards[s].index);
-    ShardOutcome outcome;
-    try {
-      outcome = run_shard(shard_config, shards[s].count);
-    } catch (const Cancelled&) {
-      return;  // interrupted mid-shard (settle-loop cancellation point)
-    }
-    if (controls.journal != nullptr) {
-      controls.journal->append(encode_outcome(shards[s].index, outcome));
-    }
-    partial[s] = outcome;
-    note_progress();
-  };
-  // The cancel token is deliberately NOT handed to parallel_for: the body
-  // must still run for every shard so journal-resumed outcomes merge even
-  // under cancellation; the body's own poll skips the actual work.
-  runner.pool().parallel_for(shards.size(), shard_body);
-
-  ShardOutcome merged;
-  std::size_t completed = 0;
-  for (const std::optional<ShardOutcome>& outcome : partial) {
-    if (outcome) {
-      merged += *outcome;
-      ++completed;
-    }
-  }
-  report.stats = merged.stats;
-  report.telemetry = merged.telemetry;
-  report.shards_completed = completed;
-  report.shards_resumed = resumed.load(std::memory_order_relaxed);
-  if (completed == shards.size()) {
-    report.status = CampaignStatus::Complete;
-  } else if (controls.cancel != nullptr &&
-             controls.cancel->why() == CancelReason::Deadline) {
-    report.status = CampaignStatus::Timeout;
-  } else {
-    report.status = CampaignStatus::Cancelled;
-  }
-  return report;
+  const ShardReport<ShardOutcome> loop = run_shards<ShardOutcome>(
+      runner.pool(), count, shard_size, controls,
+      [&](const ShardRange& shard) {
+        ValidationConfig shard_config = config;
+        shard_config.seed = shard_seed(config.seed, shard.index);
+        return run_shard(shard_config, shard.count);
+      },
+      ShardCodec<ShardOutcome>{encode_outcome, decode_outcome});
+  return CampaignReport{loop, loop.merged.stats, loop.merged.telemetry, runner.threads()};
 }
 
 /// Run one shard on a pooled workspace: acquire (reseed or build), run,

@@ -3,7 +3,6 @@
 #include <exception>
 
 #include "retscan/runtime.hpp"
-#include "util/cancel.hpp"
 #include "util/failpoint.hpp"
 
 namespace retscan {
@@ -16,7 +15,6 @@ thread_local const ThreadPool* tl_pool = nullptr;
 
 struct ThreadPool::Job {
   const std::function<void(std::size_t)>& body;
-  const CancelToken* cancel;
   std::size_t count;
   std::size_t next = 0;  ///< next body index to hand out
   std::size_t unfinished = count;  ///< bodies not yet finished or skipped
@@ -67,16 +65,14 @@ void ThreadPool::enqueue(std::function<void()> task) {
 }
 
 /// Hands out the next body, round-robin across the open calls; nullptr when
-/// none has a body left. A cancelled or abandoned call has its remaining
-/// bodies skipped here, and a call leaves jobs_ once its last body is
+/// none has a body left. An abandoned call has its remaining bodies
+/// skipped here, and a call leaves jobs_ once its last body is
 /// handed out or skipped.
 ThreadPool::Job* ThreadPool::claim_locked(std::size_t& index) {
   while (!jobs_.empty()) {
     next_job_ %= jobs_.size();
     Job& job = *jobs_[next_job_];
-    const bool skip =
-        job.abandoned || (job.cancel != nullptr && job.cancel->cancelled());
-    if (skip) {
+    if (job.abandoned) {
       job.unfinished -= job.count - job.next;
       job.next = job.count;
       if (job.unfinished == 0) {
@@ -90,7 +86,7 @@ ThreadPool::Job* ThreadPool::claim_locked(std::size_t& index) {
     } else {
       ++next_job_;
     }
-    if (!skip) {
+    if (!job.abandoned) {
       return &job;
     }
   }
@@ -151,25 +147,21 @@ void ThreadPool::worker_loop() {
 }
 
 void ThreadPool::parallel_for(std::size_t count,
-                              const std::function<void(std::size_t)>& body,
-                              const CancelToken* cancel) {
+                              const std::function<void(std::size_t)>& body) {
   if (count == 0) {
     return;
   }
   if (tl_pool == this || size() <= 1 || count == 1) {
-    // Same contract as the pooled path: a thrown exception (or a cancelled
-    // token) skips the bodies not yet started; the first error by index is
-    // the one rethrown. Inline, index order and start order coincide.
+    // Same contract as the pooled path: a thrown exception skips the
+    // bodies not yet started; the first error by index is the one rethrown.
+    // Inline, index order and start order coincide.
     for (std::size_t i = 0; i < count; ++i) {
-      if (cancel != nullptr && cancel->cancelled()) {
-        return;
-      }
       body(i);
     }
     return;
   }
 
-  Job job{body, cancel, count};
+  Job job{body, count};
   std::unique_lock<std::mutex> lock(mutex_);
   jobs_.push_back(&job);
   work_cv_.notify_all();

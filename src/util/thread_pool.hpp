@@ -13,8 +13,6 @@
 
 namespace retscan {
 
-class CancelToken;
-
 /// The library's one dispatcher: a fixed set of workers pulling work from
 /// one place. A free worker takes, in order, the oldest plain task
 /// (enqueue/submit — FIFO), else the next body of an open parallel_for
@@ -58,13 +56,11 @@ class ThreadPool {
   /// body has finished or been skipped. A throwing body skips the bodies
   /// that have not started yet, and of the bodies that did throw, the one
   /// with the LOWEST index is rethrown here — deterministic by shard id,
-  /// never by wall clock. If `cancel` is non-null, bodies are likewise
-  /// skipped once the token reports cancelled (no exception: the caller
-  /// owns the token and inspects it). Runs inline when called from a pool
-  /// worker (no nested deadlock), on a 1-thread pool or for count == 1,
-  /// with the same skip-after-error/cancel semantics.
-  void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body,
-                    const CancelToken* cancel = nullptr);
+  /// never by wall clock. Cancellation is the shard loop's
+  /// (parallel::run_shards), not the pool's. Runs inline when called from a
+  /// pool worker (no nested deadlock), on a 1-thread pool or for
+  /// count == 1, with the same skip-after-error semantics.
+  void parallel_for(std::size_t count, const std::function<void(std::size_t)>& body);
 
   /// True when the calling thread is one of this pool's workers — callers
   /// that would block waiting on pool work must run inline instead, or a

@@ -7,10 +7,12 @@
 // This TU deliberately includes ONLY the public include/retscan/ surface —
 // it doubles as a compile test that the v2 headers are self-contained.
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <functional>
 #include <string>
+#include <thread>
 
 #include <gtest/gtest.h>
 
@@ -59,6 +61,16 @@ ValidationConfig gate_config(std::uint64_t seed, InjectionMode mode) {
   config.mode = mode;
   config.seed = seed;
   return config;
+}
+
+/// A deeper FIFO slice (147 flops in 7 chains) whose ATPG keeps more than
+/// 128 patterns: several 64-pattern scan-test shards.
+Session deep_scan_session() {
+  ProtectionConfig protection;
+  protection.kind = CodeKind::CrcDetect;
+  protection.chain_count = 7;
+  protection.test_width = 1;
+  return Session(FifoSpec{64, 2}, protection);
 }
 
 std::string error_message(const std::function<void()>& action) {
@@ -337,13 +349,8 @@ TEST(ApiScanTest, CampaignKindRunsAtpgAndDelivery) {
 }
 
 TEST(ApiScanTest, ShardSizeSetsTheDeliveryShardPlan) {
-  // A deeper FIFO slice (147 flops in 7 chains), so ATPG keeps more
-  // patterns than one 128-pattern shard holds.
-  ProtectionConfig protection;
-  protection.kind = CodeKind::CrcDetect;
-  protection.chain_count = 7;
-  protection.test_width = 1;
-  Session session(FifoSpec{64, 2}, protection);
+  // ATPG keeps more patterns than one 128-pattern shard holds.
+  Session session = deep_scan_session();
   CampaignSpec spec;
   spec.kind = CampaignKind::ScanTest;
   spec.seed = 1;
@@ -397,6 +404,123 @@ TEST(ApiCampaign, CompleteResultsCompleteEveryShard) {
       EXPECT_EQ(result.shards_completed, result.shard_count);
     }
   }
+}
+
+// --- cancellation and deadlines reach every kind ----------------------------
+
+struct KindCase {
+  const char* name;
+  CampaignKind kind;
+  ValidationTier tier = ValidationTier::Behavioral;
+};
+
+/// Shards a cancelled run completes; every spec below plans more.
+constexpr std::size_t kCancelAfter = 2;
+
+CampaignSpec cancel_spec(const KindCase& c) {
+  CampaignSpec spec;
+  spec.kind = c.kind;
+  spec.seed = 3;
+  spec.threads = 1;
+  spec.shard_size = 64;
+  spec.tier = c.tier;
+  spec.atpg.random_patterns = 512;
+  spec.atpg.max_backtracks = 100;
+  if (c.kind == CampaignKind::Validation) {
+    spec.sequences = 512;
+  }
+  if (c.kind == CampaignKind::SequentialCoverage) {
+    spec.sequences = 64;
+    spec.cycles = 4;
+  }
+  return spec;
+}
+
+class EveryKind : public ::testing::TestWithParam<KindCase> {};
+
+TEST_P(EveryKind, StopsWithinOneShardOfACancelOrDeadline) {
+  Session session =
+      GetParam().kind == CampaignKind::ScanTest ? deep_scan_session() : gate_session();
+  const CampaignSpec spec = cancel_spec(GetParam());
+
+  // Cancelled from the progress hook after shard k: on one thread the loop
+  // polls the token before shard k + 1, so exactly k shards complete.
+  CancelToken token;
+  RunHooks hooks;
+  hooks.cancel = &token;
+  hooks.progress = [&](std::size_t done, std::size_t) {
+    if (done == kCancelAfter) {
+      token.request_cancel();
+    }
+  };
+  const CampaignResult cancelled = run(session, spec, hooks);
+  EXPECT_EQ(cancelled.status, CampaignStatus::Cancelled);
+  EXPECT_GT(cancelled.shard_count, kCancelAfter);
+  EXPECT_EQ(cancelled.shards_completed, kCancelAfter);
+  EXPECT_FALSE(cancelled.passed());
+
+  // A deadline that expires mid-run: the hook outlasts the 1 ms budget.
+  CampaignSpec timed = spec;
+  timed.deadline_ms = 1;
+  RunHooks slow;
+  slow.progress = [](std::size_t, std::size_t) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+  };
+  const CampaignResult timeout = run(session, timed, slow);
+  EXPECT_EQ(timeout.status, CampaignStatus::Timeout);
+  EXPECT_FALSE(timeout.passed());
+
+  // A token cancelled before the run starts: no shard runs, and the
+  // pattern kinds' ATPG commits nothing.
+  CancelToken early;
+  early.request_cancel();
+  RunHooks pre;
+  pre.cancel = &early;
+  const CampaignResult none = run(session, spec, pre);
+  EXPECT_EQ(none.status, CampaignStatus::Cancelled);
+  EXPECT_EQ(none.shards_completed, 0u);
+  EXPECT_EQ(none.atpg.detected(), 0u);
+  EXPECT_FALSE(none.passed());
+
+  // Unhooked, the same spec still completes.
+  const CampaignResult complete = session.run(spec);
+  EXPECT_EQ(complete.status, CampaignStatus::Complete);
+  EXPECT_EQ(complete.shards_completed, complete.shard_count);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    ApiCancel, EveryKind,
+    ::testing::Values(KindCase{"BehavioralValidation", CampaignKind::Validation},
+                      KindCase{"StructuralValidation", CampaignKind::Validation,
+                               ValidationTier::Structural},
+                      KindCase{"FaultCoverage", CampaignKind::FaultCoverage},
+                      KindCase{"TransitionDelay", CampaignKind::TransitionDelay},
+                      KindCase{"Bridging", CampaignKind::Bridging},
+                      KindCase{"SequentialCoverage", CampaignKind::SequentialCoverage},
+                      KindCase{"ScanTest", CampaignKind::ScanTest}),
+    [](const ::testing::TestParamInfo<KindCase>& info) { return info.param.name; });
+
+TEST(ApiCancel, PreCancelledTokenStopsAtpgBeforeItsFirstCommit) {
+  Session session = gate_session();
+  AtpgOptions options;
+  options.random_patterns = 0;  // every fault is a PODEM target
+  options.max_backtracks = 100;
+  CancelToken cancel;
+  cancel.request_cancel();
+  const AtpgResult stopped =
+      run_atpg(session.frame(), session.faults(), options, &session.pool(), &cancel);
+  EXPECT_TRUE(stopped.patterns.empty());
+  EXPECT_EQ(stopped.detected(), 0u);
+  EXPECT_EQ(stopped.untestable, 0u);
+  EXPECT_EQ(stopped.aborted, 0u);
+
+  // A live token changes nothing: the pattern set is the tokenless one.
+  CancelToken live;
+  options.random_patterns = 64;
+  const AtpgResult full =
+      run_atpg(session.frame(), session.faults(), options, &session.pool(), &live);
+  EXPECT_GT(full.detected_podem, 0u);
+  EXPECT_EQ(full.patterns, run_atpg(session.frame(), session.faults(), options).patterns);
 }
 
 // --- spec validation --------------------------------------------------------

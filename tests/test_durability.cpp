@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -340,6 +341,45 @@ TEST(DurableCampaign, ExpiredDeadlineYieldsTimeoutStatus) {
       runner.run_fast(behavioral_config(), 1024, 128, controls);
   EXPECT_EQ(report.status, CampaignStatus::Timeout);
   EXPECT_EQ(report.shards_completed, 0u);
+}
+
+// The shard loop consults the journal before the cancel token: journaled
+// shards still merge (and report progress) after a cancel, while every
+// shard the journal lacks is skipped unrun.
+TEST(ShardLoop, JournaledShardsMergeAfterCancel) {
+  FailpointGuard off("");
+  const ScopedJournalPath path("shard_loop.journal");
+  CampaignJournal journal(path.str(), kFingerprint, 1, CampaignJournal::Mode::Truncate);
+  journal.bind_plan(8, 1, 8);
+  journal.append(make_record(1));
+  journal.append(make_record(3));
+
+  CancelToken cancel;
+  cancel.request_cancel();
+  std::atomic<std::size_t> progress_calls{0};
+  parallel::RunControls controls;
+  controls.cancel = &cancel;
+  controls.journal = &journal;
+  controls.progress = [&](std::size_t, std::size_t total) {
+    EXPECT_EQ(total, 8u);
+    progress_calls.fetch_add(1);
+  };
+  const parallel::ShardCodec<std::uint64_t> codec{
+      [](std::uint64_t index, const std::uint64_t&) { return make_record(index); },
+      [](const JournalRecord& record) { return record.stats[0]; }};
+  ThreadPool pool(2);
+  const parallel::ShardReport<std::uint64_t> loop = parallel::run_shards<std::uint64_t>(
+      pool, 8, 1, controls,
+      [](const parallel::ShardRange&) -> std::uint64_t {
+        ADD_FAILURE() << "a cancelled loop ran a shard";
+        return 0;
+      },
+      codec);
+  EXPECT_EQ(loop.status, CampaignStatus::Cancelled);
+  EXPECT_EQ(loop.shards_completed, 2u);
+  EXPECT_EQ(loop.shards_resumed, 2u);
+  EXPECT_EQ(loop.merged, 100u + 300u);  // make_record(i).stats[0] == i * 100
+  EXPECT_EQ(progress_calls.load(), 2u);
 }
 
 TEST(DurableCampaign, ThrowInterruptedCampaignResumesBitIdentically) {

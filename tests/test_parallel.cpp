@@ -23,6 +23,7 @@
 #include "circuits/fifo.hpp"
 #include "core/protected_design.hpp"
 #include "parallel/campaign_runner.hpp"
+#include "parallel/shard_loop.hpp"
 #include "testbench/harness.hpp"
 #include "util/cancel.hpp"
 #include "util/failpoint.hpp"
@@ -97,31 +98,6 @@ TEST(ThreadPool, ParallelForPropagatesExceptionAndPoolSurvives) {
   EXPECT_EQ(solo_ran, 3u);
 }
 
-TEST(ThreadPool, ParallelForSkipsBodiesOnceTokenIsCancelled) {
-  // A pre-cancelled token is the deterministic case: no body may run, on
-  // either dispatch path, and the call returns normally (cancellation is a
-  // skip, not a failure — the campaign layer decides what partial means).
-  CancelToken cancel;
-  cancel.request_cancel();
-
-  ThreadPool pooled(4);
-  std::atomic<std::size_t> ran{0};
-  pooled.parallel_for(64, [&](std::size_t) {
-    ran.fetch_add(1, std::memory_order_relaxed);
-  }, &cancel);
-  EXPECT_EQ(ran.load(), 0u);
-
-  ThreadPool solo(1);
-  std::size_t solo_ran = 0;
-  solo.parallel_for(16, [&](std::size_t) { ++solo_ran; }, &cancel);
-  EXPECT_EQ(solo_ran, 0u);
-
-  // A fresh token lets everything through.
-  CancelToken open;
-  solo.parallel_for(16, [&](std::size_t) { ++solo_ran; }, &open);
-  EXPECT_EQ(solo_ran, 16u);
-}
-
 TEST(ThreadPool, SerialAndNestedCallsRunInline) {
   ThreadPool pool(1);
   std::size_t sum = 0;  // no atomics needed: single-thread pools run inline
@@ -181,29 +157,6 @@ TEST(ThreadPool, ThrowingCallLeavesConcurrentCallerWhole) {
   std::atomic<int> again{0};
   pool.parallel_for(10, [&](std::size_t) { again.fetch_add(1); });
   EXPECT_EQ(again.load(), 10);
-}
-
-// A token cancelled mid-call skips the bodies not yet started; a
-// concurrent call without a token is unaffected.
-TEST(ThreadPool, CancelledTokenSkipsOnlyItsOwnCall) {
-  ThreadPool pool(2);
-  CancelToken token;
-  std::atomic<int> ran{0};
-  std::atomic<int> bystander{0};
-  std::thread other([&] {
-    pool.parallel_for(200, [&](std::size_t) { bystander.fetch_add(1); });
-  });
-  pool.parallel_for(
-      1000,
-      [&](std::size_t) {
-        token.request_cancel();
-        ran.fetch_add(1);
-      },
-      &token);
-  other.join();
-  EXPECT_GT(ran.load(), 0);
-  EXPECT_LT(ran.load(), 1000);
-  EXPECT_EQ(bystander.load(), 200);
 }
 
 // Fairness: a call already in flight is not starved by a later, larger
@@ -285,6 +238,74 @@ TEST(ShardPlan, CoversTotalExactlyOnceIndependentOfThreads) {
 
   EXPECT_TRUE(parallel::plan_shards(0, 64).empty());
   EXPECT_EQ(parallel::plan_shards(5, 0).size(), 1u);  // 0 → one shard
+}
+
+// The shard loop owns cancellation: a pre-cancelled token runs no shard on
+// either dispatch path and the loop returns normally, tallied Cancelled (a
+// skip, not a failure); a live token lets every shard through.
+TEST(ShardLoop, PreCancelledTokenRunsNoShardOnEitherPath) {
+  CancelToken cancel;
+  cancel.request_cancel();
+  parallel::RunControls controls;
+  controls.cancel = &cancel;
+  for (const unsigned threads : {4u, 1u}) {
+    ThreadPool pool(threads);
+    std::atomic<std::size_t> ran{0};
+    const parallel::ShardReport<std::size_t> loop = parallel::run_shards<std::size_t>(
+        pool, 64, 1, controls, [&](const parallel::ShardRange&) {
+          ran.fetch_add(1, std::memory_order_relaxed);
+          return std::size_t{1};
+        });
+    EXPECT_EQ(ran.load(), 0u) << threads << " threads";
+    EXPECT_EQ(loop.shard_count, 64u);
+    EXPECT_EQ(loop.shards_completed, 0u);
+    EXPECT_EQ(loop.merged, 0u);
+    EXPECT_EQ(loop.status, CampaignStatus::Cancelled);
+  }
+
+  CancelToken open;
+  controls.cancel = &open;
+  ThreadPool solo(1);
+  const parallel::ShardReport<std::size_t> loop = parallel::run_shards<std::size_t>(
+      solo, 16, 1, controls, [](const parallel::ShardRange&) { return std::size_t{1}; });
+  EXPECT_EQ(loop.merged, 16u);
+  EXPECT_EQ(loop.shards_completed, 16u);
+  EXPECT_EQ(loop.status, CampaignStatus::Complete);
+
+  CancelToken expired;
+  expired.set_deadline_ms(0);
+  controls.cancel = &expired;
+  EXPECT_EQ(parallel::run_shards<std::size_t>(solo, 16, 1, controls,
+                                              [](const parallel::ShardRange&) {
+                                                return std::size_t{1};
+                                              })
+                .status,
+            CampaignStatus::Timeout);
+}
+
+// A token cancelled mid-loop skips the shards not yet started; a concurrent
+// loop without a token on the same pool is unaffected.
+TEST(ShardLoop, CancelledTokenSkipsOnlyItsOwnLoop) {
+  ThreadPool pool(2);
+  CancelToken token;
+  parallel::RunControls controls;
+  controls.cancel = &token;
+  const auto one = [](const parallel::ShardRange&) { return std::size_t{1}; };
+  std::size_t bystander = 0;
+  std::thread other([&] {
+    bystander = parallel::run_shards<std::size_t>(pool, 200, 1, {}, one).merged;
+  });
+  const parallel::ShardReport<std::size_t> loop = parallel::run_shards<std::size_t>(
+      pool, 1000, 1, controls, [&](const parallel::ShardRange&) {
+        token.request_cancel();
+        return std::size_t{1};
+      });
+  other.join();
+  EXPECT_GT(loop.shards_completed, 0u);
+  EXPECT_LT(loop.shards_completed, 1000u);
+  EXPECT_EQ(loop.merged, loop.shards_completed);
+  EXPECT_EQ(loop.status, CampaignStatus::Cancelled);
+  EXPECT_EQ(bystander, 200u);
 }
 
 TEST(ShardSeeds, AreDistinctStreams) {

@@ -15,6 +15,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -25,6 +26,7 @@
 #include <vector>
 
 #include "util/cancel.hpp"
+#include "util/failpoint.hpp"
 
 #ifndef RETSCAN_CIRCUITS_DIR
 #define RETSCAN_CIRCUITS_DIR "bench/circuits"
@@ -622,8 +624,8 @@ TEST(ServeJobManager, FinishedCoverageJobCountsEveryShard) {
   ServeOptions options;
   options.max_active = 1;
   JobManager manager(options);
-  // Coverage kinds report no per-shard progress; the finished record must
-  // still show the whole shard plan done (`retscan jobs` prints N/N).
+  // The finished record shows the whole shard plan done (`retscan jobs`
+  // prints N/N).
   const JobRecord done = run_one(manager, coverage_spec());
   ASSERT_EQ(done.state, JobState::Done) << done.error;
   ASSERT_TRUE(done.summary.has_value());
@@ -666,6 +668,37 @@ TEST(ServeJobManager, CancelHitsQueuedAndRunningJobs) {
   EXPECT_FALSE(manager.cancel(777));      // unknown
 
   EXPECT_EQ(manager.list().size(), 2u);
+}
+
+// A running fault-coverage job stops at its next shard once cancelled:
+// every shard (ATPG grading and coverage grading alike) sleeps 50 ms, so
+// the cancel lands while the job is still running.
+TEST(ServeJobManager, CancelStopsARunningCoverageJob) {
+  const char* prior = std::getenv("RETSCAN_FAILPOINTS");
+  const std::string saved = prior != nullptr ? prior : "";
+  ::setenv("RETSCAN_FAILPOINTS", "shard.run=delay:50@every", 1);
+  failpoints_refresh();
+  {
+    ServeOptions options;
+    options.max_active = 1;
+    JobManager manager(options);
+    const std::uint64_t id = manager.submit(coverage_spec(), {});
+    manager.wait(id, [](const JobRecord& now) { return now.state == JobState::Queued; });
+    EXPECT_TRUE(manager.cancel(id));
+    const auto record = manager.wait(id);
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->state, JobState::Cancelled) << record->error;
+    ASSERT_TRUE(record->summary.has_value());
+    EXPECT_EQ(record->summary->status, "cancelled");
+    EXPECT_LT(record->summary->shards_completed, record->summary->shard_count);
+    EXPECT_FALSE(record->summary->passed);
+  }
+  if (prior != nullptr) {
+    ::setenv("RETSCAN_FAILPOINTS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("RETSCAN_FAILPOINTS");
+  }
+  failpoints_refresh();
 }
 
 TEST(ServeJobManager, WaitReportsEachChangeThenTheTerminalRecord) {
