@@ -24,6 +24,7 @@
 
 #include "retscan/test.hpp"
 #include "bench_util.hpp"
+#include "measure.hpp"
 #include "reference_podem.hpp"
 #include "retscan/netlist.hpp"
 #include "retscan/parallel.hpp"
@@ -134,20 +135,20 @@ int main() {
   for (int r = 0; r < kPodemRepeats; ++r) {
     std::vector<PodemResult> compiled_results;
     std::vector<PodemResult> reference_results;
-    bench::Stopwatch podem_timer;
+    perfbench::Clock::time_point podem_start = perfbench::Clock::now();
     Podem podem(frame, options.max_backtracks);
     Rng compiled_rng(options.seed);
     for (const Fault& fault : targets) {
       compiled_results.push_back(podem.generate(fault, compiled_rng));
     }
-    const double compiled_time = podem_timer.seconds();
-    podem_timer.restart();
+    const double compiled_time = perfbench::seconds_since(podem_start);
+    podem_start = perfbench::Clock::now();
     bench::ReferencePodem reference(frame, options.max_backtracks);
     Rng reference_rng(options.seed);
     for (const Fault& fault : targets) {
       reference_results.push_back(reference.generate(fault, reference_rng));
     }
-    const double reference_time = podem_timer.seconds();
+    const double reference_time = perfbench::seconds_since(podem_start);
     podem_matches = podem_matches && compiled_results == reference_results;
     compiled_podem_time = r == 0 ? compiled_time : std::min(compiled_podem_time, compiled_time);
     reference_podem_time =
@@ -170,18 +171,18 @@ int main() {
   bench::header("Fault-simulation throughput (block-parallel vs scalar baseline)");
   const double nominal_evals =
       static_cast<double>(faults.size()) * static_cast<double>(atpg.patterns.size());
-  bench::Stopwatch timer;
+  perfbench::Clock::time_point start = perfbench::Clock::now();
   constexpr int kPackedRepeats = 5;
   std::size_t packed_detects = 0;
   for (int r = 0; r < kPackedRepeats; ++r) {
     packed_detects =
         fault_dictionary_detects(frame, faults, atpg.patterns, kLaneBlockBits);
   }
-  const double packed_fs_time = timer.seconds() / kPackedRepeats;
-  timer.restart();
+  const double packed_fs_time = perfbench::seconds_since(start) / kPackedRepeats;
+  start = perfbench::Clock::now();
   const std::size_t scalar_detects =
       fault_dictionary_detects(frame, faults, atpg.patterns, 1, /*reference=*/true);
-  const double scalar_fs_time = timer.seconds();
+  const double scalar_fs_time = perfbench::seconds_since(start);
   const double packed_fs_rate = nominal_evals / packed_fs_time;
   const double scalar_fs_rate = nominal_evals / scalar_fs_time;
   const double faultsim_speedup = packed_fs_rate / scalar_fs_rate;
@@ -198,12 +199,12 @@ int main() {
   // runs its shards inline.
   ThreadPool pool;  // RETSCAN_THREADS / hardware_concurrency
   ThreadPool serial_pool(1);
-  timer.restart();
+  start = perfbench::Clock::now();
   const FaultSimResult serial_sim = fault_simulate(frame, faults, atpg.patterns, serial_pool);
-  const double serial_sim_time = timer.seconds();
-  timer.restart();
+  const double serial_sim_time = perfbench::seconds_since(start);
+  start = perfbench::Clock::now();
   const FaultSimResult pooled_sim = fault_simulate(frame, faults, atpg.patterns, pool);
-  const double pooled_sim_time = timer.seconds();
+  const double pooled_sim_time = perfbench::seconds_since(start);
   const double threaded_speedup = serial_sim_time / pooled_sim_time;
   const bool pooled_matches = pooled_sim.detected_by == serial_sim.detected_by &&
                               pooled_sim.detected == serial_sim.detected;
@@ -223,10 +224,10 @@ int main() {
   bool scaling_matches = true;
   for (const unsigned n : {1u, 2u, 4u, 8u}) {
     ThreadPool curve_pool(n);
-    timer.restart();
+    start = perfbench::Clock::now();
     const FaultSimResult curve_sim =
         fault_simulate(frame, faults, atpg.patterns, curve_pool);
-    const double curve_time = timer.seconds();
+    const double curve_time = perfbench::seconds_since(start);
     scaling_matches = scaling_matches && curve_sim.detected_by == serial_sim.detected_by;
     const double speedup = serial_sim_time / curve_time;
     const double efficiency = speedup / static_cast<double>(n);
@@ -251,17 +252,17 @@ int main() {
   for (std::size_t i = 0; i < kRandomPatterns; ++i) {
     random_patterns.push_back(pattern_rng.next_bits(frame.pattern_width()));
   }
-  timer.restart();
+  start = perfbench::Clock::now();
   const FaultSimResult random_serial =
       fault_simulate(frame, faults, random_patterns, serial_pool);
-  const double random_serial_time = timer.seconds();
+  const double random_serial_time = perfbench::seconds_since(start);
   bool random_matches = true;
   for (const unsigned n : {1u, 2u, 4u, 8u}) {
     ThreadPool curve_pool(n);
-    timer.restart();
+    start = perfbench::Clock::now();
     const FaultSimResult curve_sim =
         fault_simulate(frame, faults, random_patterns, curve_pool);
-    const double curve_time = timer.seconds();
+    const double curve_time = perfbench::seconds_since(start);
     random_matches = random_matches && curve_sim.detected_by == random_serial.detected_by;
     const double speedup = random_serial_time / curve_time;
     const double efficiency = speedup / static_cast<double>(n);
@@ -289,12 +290,12 @@ int main() {
   double pooled_atpg_time = 0.0;
   bool atpg_pool_matches = true;
   for (int r = 0; r < kPodemRepeats; ++r) {
-    timer.restart();
+    start = perfbench::Clock::now();
     const AtpgResult serial_atpg = run_atpg(frame, faults, options, &serial_pool);
-    const double serial_time = timer.seconds();
-    timer.restart();
+    const double serial_time = perfbench::seconds_since(start);
+    start = perfbench::Clock::now();
     const AtpgResult pooled_atpg = run_atpg(frame, faults, options, &pool);
-    const double pooled_time = timer.seconds();
+    const double pooled_time = perfbench::seconds_since(start);
     atpg_pool_matches = atpg_pool_matches && same_atpg(serial_atpg) && same_atpg(pooled_atpg);
     serial_atpg_time = r == 0 ? serial_time : std::min(serial_atpg_time, serial_time);
     pooled_atpg_time = r == 0 ? pooled_time : std::min(pooled_atpg_time, pooled_time);
@@ -312,19 +313,19 @@ int main() {
   // The single-thread packed rate is the 64-lane delivery on a 1-thread
   // pool, which runs its shards inline.
   bench::header("Test-mode delivery throughput (64-lane vs scalar tester)");
-  timer.restart();
+  start = perfbench::Clock::now();
   const ScanTestResult packed_applied =
       apply_test_mode_scan_test_packed(design, frame, atpg.patterns, serial_pool);
-  const double packed_apply_time = timer.seconds();
-  timer.restart();
+  const double packed_apply_time = perfbench::seconds_since(start);
+  start = perfbench::Clock::now();
   const ScanTestResult pooled_applied =
       apply_test_mode_scan_test_packed(design, frame, atpg.patterns, pool, 128);
-  const double pooled_apply_time = timer.seconds();
+  const double pooled_apply_time = perfbench::seconds_since(start);
   RetentionSession session(design);
-  timer.restart();
+  start = perfbench::Clock::now();
   const ScanTestResult scalar_applied =
       apply_test_mode_scan_test(session, design, frame, atpg.patterns);
-  const double scalar_apply_time = timer.seconds();
+  const double scalar_apply_time = perfbench::seconds_since(start);
   const double packed_rate = packed_applied.patterns_applied / packed_apply_time;
   const double pooled_rate = pooled_applied.patterns_applied / pooled_apply_time;
   const double scalar_rate = scalar_applied.patterns_applied / scalar_apply_time;

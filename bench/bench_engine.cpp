@@ -20,6 +20,7 @@
 
 #include "retscan/test.hpp"
 #include "bench_util.hpp"
+#include "measure.hpp"
 #include "retscan/netlist.hpp"
 #include "retscan/design.hpp"
 #include "retscan/runtime.hpp"
@@ -69,7 +70,7 @@ int main() {
     }
   }
 
-  bench::Stopwatch timer;
+  perfbench::Clock::time_point start = perfbench::Clock::now();
   LaneWord block_sum = 0;
   for (int s = 0; s < kSweeps; ++s) {
     // Source slots are the first source_count slots by construction.
@@ -79,9 +80,9 @@ int main() {
     compiled->eval_full(slot_blocks.data());
     block_sum ^= slot_blocks[compiled->slot_count() - 1].w[0];
   }
-  const double block_time = timer.seconds();
+  const double block_time = perfbench::seconds_since(start);
 
-  timer.restart();
+  start = perfbench::Clock::now();
   LaneWord compiled_sum = 0;
   for (int s = 0; s < kSweeps; ++s) {
     for (std::size_t i = 0; i < source_count; ++i) {
@@ -90,9 +91,9 @@ int main() {
     compiled->eval_full(slot_values.data());
     compiled_sum ^= slot_values[compiled->slot_count() - 1];
   }
-  const double word_time = timer.seconds();
+  const double word_time = perfbench::seconds_since(start);
 
-  timer.restart();
+  start = perfbench::Clock::now();
   LaneWord interp_sum = 0;
   for (int s = 0; s < kSweeps; ++s) {
     for (std::size_t i = 0; i < source_count; ++i) {
@@ -103,7 +104,7 @@ int main() {
     interp_sum ^= net_values[compiled->net_of_slot(
         static_cast<std::uint32_t>(compiled->slot_count() - 1))];
   }
-  const double interp_time = timer.seconds();
+  const double interp_time = perfbench::seconds_since(start);
 
   // Equivalence of the final sweep, every net: word 0 of the block sweep,
   // the word sweep, and the interpreter must agree bit-for-bit.
@@ -186,7 +187,7 @@ int main() {
   constexpr int kConeRepeats = 5;
   CombinationalFrame::Workspace workspace;
   std::vector<LaneBlock> cone_blocks(faults.size() * loaded.size(), LaneBlock{});
-  timer.restart();
+  start = perfbench::Clock::now();
   for (int r = 0; r < kConeRepeats; ++r) {
     for (std::size_t b = 0; b < loaded.size(); ++b) {
       for (std::size_t fi = 0; fi < faults.size(); ++fi) {
@@ -195,17 +196,17 @@ int main() {
       }
     }
   }
-  const double cone_time = timer.seconds() / kConeRepeats;
+  const double cone_time = perfbench::seconds_since(start) / kConeRepeats;
 
   std::vector<std::uint64_t> full_masks(faults.size() * batches.size(), 0);
-  timer.restart();
+  start = perfbench::Clock::now();
   for (std::size_t b = 0; b < batches.size(); ++b) {
     for (std::size_t fi = 0; fi < faults.size(); ++fi) {
       full_masks[b * faults.size() + fi] =
           frame.detect_mask_full(faults[fi], batches[b], batch_good[b]);
     }
   }
-  const double full_time = timer.seconds();
+  const double full_time = perfbench::seconds_since(start);
 
   // Word w of cone block b covers the same 64 patterns as interpreted batch
   // b * kLaneWords + w; every lane must agree.

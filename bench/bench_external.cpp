@@ -19,6 +19,7 @@
 #include <vector>
 
 #include "bench_util.hpp"
+#include "measure.hpp"
 #include "retscan/netlist.hpp"
 #include "retscan/session.hpp"
 #include "retscan/sim.hpp"
@@ -202,7 +203,7 @@ int main() {
   constexpr int kSweeps = 2000;
   std::vector<LaneBlock> slots(compiled->slot_count(), LaneBlock{});
   Rng stim_rng(1);
-  bench::Stopwatch timer;
+  perfbench::Clock::time_point start = perfbench::Clock::now();
   LaneWord checksum = 0;
   for (int s = 0; s < kSweeps; ++s) {
     for (std::size_t i = 0; i < source_count; ++i) {
@@ -213,7 +214,7 @@ int main() {
     compiled->eval_full(slots.data());
     checksum ^= slots[compiled->slot_count() - 1].w[0];
   }
-  const double sweep_time = timer.seconds();
+  const double sweep_time = perfbench::seconds_since(start);
   const double compiled_meps = static_cast<double>(gates) * kSweeps *
                                static_cast<double>(kLaneBlockBits) / sweep_time / 1e6;
   ok = ok && checksum != 0;  // keeps the loop observable
@@ -243,7 +244,7 @@ int main() {
   CombinationalFrame::Workspace workspace;
   constexpr int kRepeats = 20;
   std::uint64_t mask_checksum = 0;
-  timer.restart();
+  start = perfbench::Clock::now();
   for (int r = 0; r < kRepeats; ++r) {
     for (const auto& batch : loaded) {
       for (std::size_t fi = 0; fi < faults.size(); ++fi) {
@@ -254,7 +255,7 @@ int main() {
       }
     }
   }
-  const double cone_time = timer.seconds() / kRepeats;
+  const double cone_time = perfbench::seconds_since(start) / kRepeats;
   const double word_batches =
       static_cast<double>((patterns.size() + kLaneCount - 1) / kLaneCount);
   const double evals_per_sec =

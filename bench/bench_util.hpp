@@ -1,6 +1,5 @@
 #pragma once
 
-#include <chrono>
 #include <fstream>
 #include <iomanip>
 #include <iostream>
@@ -40,20 +39,6 @@ inline void compare(const std::string& label, double ours, double paper,
             << std::setw(10) << std::setprecision(4) << ours << " " << unit
             << "   paper " << std::setw(10) << paper << " " << unit << "\n";
 }
-
-/// Wall-clock timer for throughput metrics.
-class Stopwatch {
- public:
-  Stopwatch() : start_(std::chrono::steady_clock::now()) {}
-  void restart() { start_ = std::chrono::steady_clock::now(); }
-  double seconds() const {
-    return std::chrono::duration<double>(std::chrono::steady_clock::now() - start_)
-        .count();
-  }
-
- private:
-  std::chrono::steady_clock::time_point start_;
-};
 
 /// Machine-readable bench report: write() emits BENCH_<name>.json in the
 /// working directory so the perf trajectory (sequences/sec, fault-evals/sec,

@@ -23,8 +23,10 @@
 #include <iostream>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "bench_util.hpp"
+#include "measure.hpp"
 #include "retscan/parallel.hpp"
 #include "retscan/campaign.hpp"
 #include "retscan/netlist.hpp"
@@ -66,22 +68,23 @@ int main() {
     // cap it so a paper-scale budget is not dominated by a 1-thread rerun.
     const std::size_t reference_sequences =
         std::min<std::size_t>(fast_sequences, 200000);
-    bench::Stopwatch timer;
+    perfbench::Clock::time_point start = perfbench::Clock::now();
     const parallel::CampaignReport serial_run =
         serial.run_fast(single, reference_sequences);
-    const double serial_seconds = timer.seconds();
-    timer.restart();
+    const double serial_seconds = perfbench::seconds_since(start);
+    start = perfbench::Clock::now();
     const parallel::CampaignReport reference_run =
         runner.run_fast(single, reference_sequences);
-    const double parallel_seconds = timer.seconds();
+    const double parallel_seconds = perfbench::seconds_since(start);
     // Full-budget campaign on the pool (identical to reference_run when the
     // budget fits the cap, so skip the rerun then).
-    timer.restart();
+    start = perfbench::Clock::now();
     const parallel::CampaignReport run = fast_sequences == reference_sequences
                                              ? reference_run
                                              : runner.run_fast(single, fast_sequences);
-    const double full_seconds =
-        fast_sequences == reference_sequences ? parallel_seconds : timer.seconds();
+    const double full_seconds = fast_sequences == reference_sequences
+                                    ? parallel_seconds
+                                    : perfbench::seconds_since(start);
 
     const ValidationStats& stats = run.stats;
     const double rate = static_cast<double>(stats.sequences) / full_seconds;
@@ -110,10 +113,10 @@ int main() {
     bench::header("Thread scaling curve (behavioral tier, fixed shard plan)");
     for (const unsigned n : {1u, 2u, 4u, 8u}) {
       parallel::CampaignRunner curve(parallel::CampaignOptions{.threads = n});
-      timer.restart();
+      start = perfbench::Clock::now();
       const parallel::CampaignReport curve_run =
           curve.run_fast(single, reference_sequences);
-      const double curve_seconds = timer.seconds();
+      const double curve_seconds = perfbench::seconds_since(start);
       const double curve_speedup = serial_seconds / curve_seconds;
       const double curve_efficiency = curve_speedup / static_cast<double>(n);
       std::cout << "  " << n << " thread(s): " << curve_seconds << " s, speedup "
@@ -143,42 +146,39 @@ int main() {
     // checkpoint_overhead is the durability-gated metric (≤ 1.05 in
     // ci/check_bench_json.py): wall clock of a checkpointed campaign over
     // the identical plain campaign, both serial (no pool scheduling noise),
-    // min-of-3. Small shards on purpose — more appends per second of work
-    // than the defaults, so the gate bounds the journal's worst side.
+    // as the median of interleaved pairs, so drift in the host's speed
+    // lands on both sides of every ratio. Small shards on purpose — more
+    // appends per second of work than the defaults, so the gate bounds the
+    // journal's worst side.
     const std::size_t ck_sequences =
         std::max<std::size_t>(std::size_t{4096}, fast_sequences / 8);
     const std::size_t ck_shard = 512;
+    const std::size_t ck_pairs = 5;
     const std::string path = "bench_checkpoint.journal";
-    const auto min_of_3 = [](auto&& body) {
-      double best = 1e300;
-      for (int rep = 0; rep < 3; ++rep) {
-        bench::Stopwatch timer;
-        body();
-        best = std::min(best, timer.seconds());
-      }
-      return best;
-    };
     parallel::CampaignReport plain, durable;
-    const double plain_seconds = min_of_3(
-        [&] { plain = serial.run_fast(single, ck_sequences, ck_shard); });
-    const double durable_seconds = min_of_3([&] {
-      // Journal construction, every per-shard append and the atomic
-      // renames are all inside the timed region — the full durability tax.
-      std::remove(path.c_str());
-      CampaignJournal journal(path, /*fingerprint=*/1, single.seed,
-                              CampaignJournal::Mode::Truncate);
-      parallel::RunControls controls;
-      controls.journal = &journal;
-      durable = serial.run_fast(single, ck_sequences, ck_shard, controls);
-    });
+    std::vector<double> durable_times;
+    const perfbench::Summary overhead = perfbench::interleaved_ratio(
+        [&] {
+          // Journal construction, every per-shard append and the atomic
+          // renames are all inside the timed region — the full durability
+          // tax.
+          std::remove(path.c_str());
+          CampaignJournal journal(path, /*fingerprint=*/1, single.seed,
+                                  CampaignJournal::Mode::Truncate);
+          parallel::RunControls controls;
+          controls.journal = &journal;
+          durable = serial.run_fast(single, ck_sequences, ck_shard, controls);
+        },
+        [&] { plain = serial.run_fast(single, ck_sequences, ck_shard); }, ck_pairs,
+        &durable_times);
     std::remove(path.c_str());
     std::remove((path + ".tmp").c_str());
-    const double overhead = durable_seconds / plain_seconds;
     std::cout << "checkpoint: " << ck_sequences << " sequences x "
-              << durable.shard_count << " shards: plain " << plain_seconds
-              << " s, journaled " << durable_seconds << " s (overhead "
-              << overhead << "x)\n";
-    json.set("checkpoint_overhead", overhead);
+              << durable.shard_count << " shards, journaled run median "
+              << perfbench::summarize(durable_times).median << " s\n  "
+              << perfbench::describe("overhead (journaled / plain)", overhead, "x")
+              << "\n";
+    json.set("checkpoint_overhead", overhead.median);
     json.set("checkpoint_shards", static_cast<double>(durable.shard_count));
     // Journaling must not perturb the statistics, only persist them.
     ok = ok && durable.stats == plain.stats &&
@@ -206,9 +206,10 @@ int main() {
   double scalar_gate_rate = 0.0;
   {
     StructuralTestbench tb(gate);
-    bench::Stopwatch timer;
+    perfbench::Clock::time_point start = perfbench::Clock::now();
     const ValidationStats stats = tb.run(40);
-    scalar_gate_rate = static_cast<double>(stats.sequences) / timer.seconds();
+    scalar_gate_rate =
+        static_cast<double>(stats.sequences) / perfbench::seconds_since(start);
     report("exp1/gate", stats);
     std::cout << "  throughput " << scalar_gate_rate << " sequences/sec\n";
     ok = ok && stats.detection_rate() == 1.0 && stats.correction_rate() == 1.0 &&
@@ -232,15 +233,16 @@ int main() {
     // lane-parallelism ratio (packed vs scalar, both on one thread, one
     // shard — no per-shard testbench construction in the timed region) —
     // machine-independent. The pooled run is reported separately.
-    bench::Stopwatch timer;
+    perfbench::Clock::time_point start = perfbench::Clock::now();
     const parallel::CampaignReport packed_serial =
         serial.run_structural_packed(gate, 640, 640);
-    const double packed_serial_rate =
-        static_cast<double>(packed_serial.stats.sequences) / timer.seconds();
-    timer.restart();
+    const double packed_serial_rate = static_cast<double>(packed_serial.stats.sequences) /
+                                      perfbench::seconds_since(start);
+    start = perfbench::Clock::now();
     const parallel::CampaignReport run = runner.run_structural_packed(gate, 640, 64);
     const ValidationStats& stats = run.stats;
-    const double packed_gate_rate = static_cast<double>(stats.sequences) / timer.seconds();
+    const double packed_gate_rate =
+        static_cast<double>(stats.sequences) / perfbench::seconds_since(start);
     const double gate_speedup = packed_serial_rate / scalar_gate_rate;
     report("exp1/gate-packed", stats);
     std::cout << "  throughput " << packed_gate_rate << " sequences/sec pooled, "
@@ -271,7 +273,9 @@ int main() {
     // free; the full sweep pays the whole netlist every settle regardless.
     // event_speedup is the perf-gated metric: same PackedSim workload, same
     // stimulus stream, Sweep wall clock over Event wall clock — a pure
-    // scheduling ratio, machine-independent like gate_speedup above.
+    // scheduling ratio, machine-independent like gate_speedup above. It is
+    // the median of interleaved pairs over a workload long enough (hundreds
+    // of ms a side) that one timer tick or one preemption cannot move it.
     ProtectionConfig protection;
     protection.kind = CodeKind::HammingPlusCrc;
     protection.chain_count = 8;
@@ -279,7 +283,8 @@ int main() {
     const ProtectedDesign design(make_fifo(FifoSpec{32, 2}), protection);
     const Netlist& nl = design.netlist();
 
-    constexpr int kEpisodes = 12;
+    constexpr int kEpisodes = 768;
+    constexpr std::size_t kPairs = 5;
     constexpr int kActiveCycles = 4;
     constexpr std::size_t kIdleCycles = 256;
     auto run_workload = [&](PackedSim& sim) {
@@ -318,20 +323,22 @@ int main() {
     PackedSim event_sim(nl);
     event_sim.set_schedule(Schedule::Event);
 
-    bench::Stopwatch timer;
-    const std::uint64_t sweep_digest = run_workload(sweep_sim);
-    const double sweep_seconds = timer.seconds();
-    timer.restart();
-    const std::uint64_t event_digest = run_workload(event_sim);
-    const double event_seconds = timer.seconds();
-
-    const double event_speedup = sweep_seconds / event_seconds;
+    std::uint64_t sweep_digest = 0;
+    std::uint64_t event_digest = 0;
+    std::vector<double> sweep_times;
+    const perfbench::Summary speedup = perfbench::interleaved_ratio(
+        [&] { sweep_digest = run_workload(sweep_sim); },
+        [&] { event_digest = run_workload(event_sim); }, kPairs, &sweep_times);
+    const double event_speedup = speedup.median;
+    const double sweep_seconds = perfbench::summarize(sweep_times).median;
+    const double event_seconds = sweep_seconds / event_speedup;
     const ScheduleTelemetry activity = event_sim.take_schedule_telemetry();
     const double cycles =
         static_cast<double>(kEpisodes) * (kActiveCycles + kIdleCycles + 2);
     std::cout << "event-sched: " << cycles << " cycles x " << PackedSim::lane_count()
-              << " lanes, sweep " << sweep_seconds << " s, event " << event_seconds
-              << " s (" << event_speedup << "x)\n  event settles "
+              << " lanes, sweep median " << sweep_seconds << " s\n  "
+              << perfbench::describe("speedup (sweep / event)", speedup, "x")
+              << "\n  event settles "
               << activity.event_sweeps << ", full sweeps " << activity.full_sweeps
               << " (" << activity.full_sweep_fallbacks
               << " fallbacks), avg dirty fraction " << activity.avg_dirty_fraction()

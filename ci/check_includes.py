@@ -6,6 +6,8 @@ Allowed quoted includes:
   * "retscan/..."            the public header tree
   * "bench_util.hpp"         bench-local helpers (bench/ and tests/ only;
     "reference_podem.hpp"    themselves lint-checked to sit on retscan/)
+  * "measure.hpp"            perfbench's timing harness (bench/ only; it
+                             includes no retscan header at all)
 
 Angle-bracket includes (standard library, gtest) are always fine. Usage:
 
@@ -18,7 +20,7 @@ import sys
 
 INCLUDE_RE = re.compile(r'^\s*#\s*include\s+"([^"]+)"')
 CHECKED_DIRS = ("examples", "bench", "tools")
-BENCH_LOCAL = {"bench_util.hpp", "reference_podem.hpp"}
+BENCH_LOCAL = {"bench_util.hpp", "reference_podem.hpp", "measure.hpp"}
 
 
 def violations(root: pathlib.Path):

@@ -47,9 +47,8 @@ enum class CampaignKind {
 /// same seed wherever an equivalence is defined (see tests/test_api.cpp).
 enum class Backend {
   Auto,           ///< fastest available (always PackedParallel today)
-  Reference,      ///< validation/scan-test: scalar oracle, one trial/pattern
-                  ///< at a time; coverage kinds: the sharded simulator on
-                  ///< one thread
+  Reference,      ///< gate-level shards run the scalar simulator (one trial
+                  ///< or pattern at a time); otherwise exactly PackedParallel
   PackedParallel, ///< 64-way lanes × the shared thread pool (threads = 1
                   ///< is the serial packed path)
 };
@@ -80,7 +79,7 @@ bool from_string(std::string_view text, InjectionMode& out);
 /// netlists, which a Session never wraps.
 struct ScanTestOptions {
   Backend backend = Backend::Auto;
-  /// PackedParallel: patterns per pool shard, floored to whole 64-lane
+  /// Patterns per pool shard on every backend, floored to whole 64-lane
   /// batches; 0 → 256.
   std::size_t shard_size = 0;
 };
@@ -100,14 +99,14 @@ struct CampaignSpec {
   /// streams from this one value (for FaultCoverage/ScanTest it overrides
   /// atpg.seed so one knob controls the whole run).
   std::uint64_t seed = 1;
-  /// Worker threads for PackedParallel backends; 0 → the session's pool
+  /// Worker threads, on every backend; 0 → the session's pool
   /// (RETSCAN_THREADS / hardware_concurrency).
   unsigned threads = 0;
-  /// Trials, fault-list entries or patterns per pool shard; 0 → backend
-  /// default (coverage kinds: 128 faults, 64 for sequential coverage;
-  /// scan-test: 256 patterns, floored to whole 64-lane batches). Reference
-  /// runs coverage kinds on one thread at the default shard and delivers
-  /// scan tests unsharded, so shard_size is PackedParallel-only there.
+  /// Trials, fault-list entries or patterns per pool shard, on every
+  /// backend; 0 → the kind's default (behavioral validation: 4096 trials;
+  /// structural validation: 256, rounded up to whole 64-lane batches;
+  /// coverage kinds: 128 faults, 64 for sequential coverage; scan-test: 256
+  /// patterns, floored to whole 64-lane batches).
   std::size_t shard_size = 0;
 
   // --- Validation / Injection ------------------------------------------
@@ -119,8 +118,8 @@ struct CampaignSpec {
   /// dirty-net worklist, Auto defers to RETSCAN_SCHEDULE and then to
   /// per-engine activity probing. Statistics are bit-identical under every
   /// schedule; only throughput differs. Explicit Event is rejected where no
-  /// gate-level sweep exists to schedule (behavioral tier, Reference
-  /// backend, non-validation kinds) — use Auto there.
+  /// gate-level sweep exists to schedule (behavioral tier, non-validation
+  /// kinds) — use Auto there.
   Schedule schedule = Schedule::Auto;
   InjectionMode mode = InjectionMode::SingleRandom;
   std::size_t burst_size = 4;
@@ -146,7 +145,7 @@ struct CampaignSpec {
   /// completed shards are appended as fixed-format CRC'd records via
   /// write-temp-then-atomic-rename, so an interrupted campaign loses at
   /// most the shards in flight. Empty = no checkpointing. Validation
-  /// kinds on the sharded (Auto/PackedParallel) backends only.
+  /// kinds only, any backend (campaign_fingerprint binds Reference's own).
   std::string checkpoint;
   /// Resume from `checkpoint` (`resume =` / `--resume`): the journal
   /// header is validated against the current spec/design/version
@@ -159,8 +158,7 @@ struct CampaignSpec {
   /// its next committed target) and the result carries
   /// CampaignStatus::Timeout with the partial statistics (checkpointed if
   /// a journal is armed) instead of running forever. nullopt = no budget;
-  /// an explicit 0 is rejected by validate(), and so is a deadline on
-  /// Reference validation (one unsharded pass).
+  /// an explicit 0 is rejected by validate().
   std::optional<std::uint64_t> deadline_ms;
 };
 
@@ -201,19 +199,18 @@ struct CampaignResult : parallel::ShardTally {
 
 /// Reject unrunnable specs with an actionable message (thrown as
 /// retscan::Error): zero trial counts, injection with nothing to inject,
-/// backends that don't exist for the workload, sessions lacking the golden
-/// model a validation campaign needs, bad shard sizes.
+/// schedules with nothing to schedule, sessions lacking the golden model a
+/// validation campaign needs, bad shard sizes.
 void validate(const CampaignSpec& spec, const Session& session);
 
 /// The strategy Auto resolves to (after validate()) — exposed so tools can
 /// report what would run without running it.
 Backend resolve_backend(const CampaignSpec& spec, const Session& session);
 
-/// Worker threads a campaign on the `resolved` backend runs with: one for
-/// Reference, else spec.threads, else the session's pool. run() picks its
-/// pool by this rule, so tools can report the count without running.
-unsigned resolve_threads(const CampaignSpec& spec, const Session& session,
-                         Backend resolved);
+/// Worker threads a campaign runs with: spec.threads, else the session's
+/// pool. run() picks its pool by this rule, so tools can report the count
+/// without running.
+unsigned resolve_threads(const CampaignSpec& spec, const Session& session);
 
 /// Run the campaign on the session's design. Validates first; throws
 /// retscan::Error on a bad spec.
@@ -247,8 +244,9 @@ CampaignResult run(Session& session, const CampaignSpec& spec,
 
 /// FNV-1a hash binding a checkpoint journal to one exact campaign: the
 /// library version, the spec's statistics-shaping fields (kind, tier,
-/// resolved schedule, seed, sequences, injection/corruption parameters) and
-/// the session's design geometry (FIFO shape + protection architecture).
+/// resolved schedule, seed, sequences, injection/corruption parameters, a
+/// Reference backend) and the session's design geometry (FIFO shape +
+/// protection architecture).
 /// Two specs with equal fingerprints produce bit-identical shard outcomes,
 /// which is what makes merging a journal from one into the other safe.
 std::uint64_t campaign_fingerprint(const CampaignSpec& spec, const Session& session);

@@ -113,8 +113,8 @@ class Session {
   CampaignResult run(const CampaignSpec& spec);
 
   /// Deliver a pattern set through the Fig. 5(b) tsi/tso concatenation and
-  /// check responses: Backend::Reference runs the scalar tester, Auto and
-  /// PackedParallel the 64-lane delivery on the session's pool.
+  /// check responses on the session's pool: Backend::Reference shards run
+  /// the scalar tester, Auto and PackedParallel the 64-lane delivery.
   ScanTestResult run_scan_test(const std::vector<BitVec>& patterns,
                                const ScanTestOptions& options = {});
 
@@ -127,9 +127,9 @@ class Session {
   Session(BareTag, Netlist base, const SessionOptions& options);
 
   /// The one test-mode delivery behind run_scan_test() and scan-test
-  /// campaigns, on the shard loop with `controls`: the scalar tester
-  /// (Reference, one shard) or the 64-lane delivery on `pool` in shards of
-  /// `shard_size` patterns (see apply_test_mode_scan_test_packed).
+  /// campaigns, on the shard loop with `controls` and `pool`: each shard of
+  /// test_mode_shard_size(shard_size) patterns runs the scalar tester on its
+  /// own RetentionSession (Reference) or the 64-lane delivery.
   ScanTestResult deliver_scan_test(const std::vector<BitVec>& patterns,
                                    Backend backend, std::size_t shard_size,
                                    ThreadPool& pool, const parallel::RunControls& controls);

@@ -190,12 +190,6 @@ void validate_durability(const CampaignSpec& spec, const Session& session) {
     }
     return;
   }
-  if (spec.backend == Backend::Reference && (!spec.checkpoint.empty() || spec.deadline_ms)) {
-    reject(spec,
-           "checkpoint/resume/deadline_ms need the sharded campaign runner, "
-           "but Backend::Reference runs one unsharded pass with nothing to "
-           "checkpoint between — use Backend::PackedParallel or Backend::Auto");
-  }
   if (!spec.checkpoint.empty()) {
     namespace fs = std::filesystem;
     const fs::path path(spec.checkpoint);
@@ -285,6 +279,11 @@ std::uint64_t campaign_fingerprint(const CampaignSpec& spec, const Session& sess
   fp.add(protection.gated_domain);
   fp.add(protection.hardware_controller ? 1 : 0);
   fp.add(protection.settle_cycles);
+  // Scalar trials differ from packed ones. Only Reference adds a word, so
+  // other fingerprints (and journals already on disk) are unchanged.
+  if (spec.backend == Backend::Reference) {
+    fp.add(static_cast<std::uint64_t>(Backend::Reference));
+  }
   return fp.hash;
 }
 
@@ -337,21 +336,12 @@ void validate(const CampaignSpec& spec, const Session& session) {
              "(0x1021); a custom crc_polynomial would silently not be the "
              "one validated — use the default polynomial for validation kinds");
     }
-    if (spec.schedule == Schedule::Event) {
-      if (spec.tier == ValidationTier::Behavioral) {
-        reject(spec,
-               "the behavioral tier evaluates closed-form protectors — there "
-               "is no gate-level settle loop for the event scheduler to "
-               "drive; use tier = structural, or Schedule::Auto (the "
-               "default), which resolves to sweep where event cannot apply");
-      }
-      if (spec.backend == Backend::Reference) {
-        reject(spec,
-               "Backend::Reference is the scalar full-sweep oracle the event "
-               "scheduler is checked against, so it always sweeps; use "
-               "Backend::PackedParallel for an event-scheduled run, or "
-               "Schedule::Auto to let the backend decide");
-      }
+    if (spec.schedule == Schedule::Event && spec.tier == ValidationTier::Behavioral) {
+      reject(spec,
+             "the behavioral tier evaluates closed-form protectors — there "
+             "is no gate-level settle loop for the event scheduler to "
+             "drive; use tier = structural, or Schedule::Auto (the "
+             "default), which resolves to sweep where event cannot apply");
     }
     if (spec.kind == CampaignKind::Injection && spec.mode != InjectionMode::RushModel) {
       reject(spec,
@@ -407,13 +397,6 @@ void validate(const CampaignSpec& spec, const Session& session) {
                "circuits)");
       }
     }
-    if (spec.shard_size != 0 && spec.backend == Backend::Reference) {
-      reject(spec,
-             "shard_size only applies to the pooled fault simulator and "
-             "scan-test delivery; Backend::Reference runs coverage on one "
-             "thread at the default shard and delivers scan tests unsharded "
-             "— drop shard_size or pick Backend::PackedParallel");
-    }
   }
   if (spec.cycles != 0 && spec.kind != CampaignKind::SequentialCoverage) {
     reject(spec, "cycles only applies to sequential-coverage campaigns — no "
@@ -430,11 +413,7 @@ Backend resolve_backend(const CampaignSpec& spec, const Session& session) {
   return Backend::PackedParallel;
 }
 
-unsigned resolve_threads(const CampaignSpec& spec, const Session& session,
-                         Backend resolved) {
-  if (resolved == Backend::Reference) {
-    return 1;
-  }
+unsigned resolve_threads(const CampaignSpec& spec, const Session& session) {
   return spec.threads != 0 ? spec.threads : session.threads();
 }
 
@@ -443,16 +422,14 @@ namespace {
 /// Campaign runner honouring the service/thread overrides, strongest
 /// first: an embedding service's shared runner (RunHooks), else a pool of
 /// resolve_threads() workers — the session's own when the counts agree.
-/// Reference asks for one thread: on the sharded simulators that is the
-/// same code run inline. (Results are thread-count invariant either way;
-/// this is throughput only.)
+/// (Results are thread-count invariant either way; this is throughput only.)
 parallel::CampaignRunner& select_runner(
-    Session& session, const CampaignSpec& spec, Backend backend, const RunHooks& hooks,
+    Session& session, const CampaignSpec& spec, const RunHooks& hooks,
     std::unique_ptr<parallel::CampaignRunner>& local) {
-  if (backend != Backend::Reference && hooks.runner != nullptr) {
+  if (hooks.runner != nullptr) {
     return *hooks.runner;
   }
-  const unsigned threads = resolve_threads(spec, session, backend);
+  const unsigned threads = resolve_threads(spec, session);
   if (threads == session.threads()) {
     return session.runner();
   }
@@ -467,25 +444,13 @@ void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
                     const parallel::RunControls& controls, CampaignResult& result) {
   ValidationConfig config = validation_config(session, spec);
   const bool behavioral = spec.tier == ValidationTier::Behavioral;
-  // Reference is the scalar full-sweep oracle the event scheduler is
-  // validated against, and behavioral runs have no gate level at all;
-  // both pin sweep here (explicit beats RETSCAN_SCHEDULE downstream).
-  // validate() already rejected explicit Event for these combinations.
-  if (behavioral || backend == Backend::Reference) {
+  // Behavioral runs have no gate level at all, so they pin sweep here
+  // (explicit beats RETSCAN_SCHEDULE downstream); validate() already
+  // rejected an explicit Event for them.
+  if (behavioral) {
     config.schedule = Schedule::Sweep;
   }
   result.schedule = runtime_schedule(config.schedule);
-  if (backend == Backend::Reference) {
-    if (behavioral) {
-      result.validation = FastTestbench(config).run(spec.sequences);
-    } else {
-      StructuralTestbench bench(config);
-      result.validation = bench.run(spec.sequences);
-      result.activity = bench.take_telemetry();
-    }
-    result.shard_count = result.shards_completed = 1;
-    return;
-  }
   // validate() has already vetted the checkpoint path and, for resume, the
   // journal header — constructing the journal re-checks both anyway
   // (TOCTOU-safe).
@@ -497,10 +462,15 @@ void run_validation(Session& session, const CampaignSpec& spec, Backend backend,
         spec.resume ? CampaignJournal::Mode::Resume : CampaignJournal::Mode::Truncate);
     durable.journal = journal.get();
   }
-  const parallel::CampaignReport report =
-      behavioral ? runner.run_fast(config, spec.sequences, spec.shard_size, durable)
-                 : runner.run_structural_packed(config, spec.sequences, spec.shard_size,
-                                                durable);
+  // The one place the backend matters: a gate-level shard's simulator.
+  parallel::CampaignReport report;
+  if (behavioral) {
+    report = runner.run_fast(config, spec.sequences, spec.shard_size, durable);
+  } else if (backend == Backend::Reference) {
+    report = runner.run_structural(config, spec.sequences, spec.shard_size, durable);
+  } else {
+    report = runner.run_structural_packed(config, spec.sequences, spec.shard_size, durable);
+  }
   result.validation = report.stats;
   result.activity = report.telemetry;
   static_cast<parallel::ShardTally&>(result) = report;
@@ -557,7 +527,7 @@ CampaignResult run(Session& session, const CampaignSpec& spec,
   const auto start = std::chrono::steady_clock::now();
   // One runner, honouring the spec's threads knob and the service hooks.
   std::unique_ptr<parallel::CampaignRunner> local;
-  parallel::CampaignRunner& runner = select_runner(session, spec, backend, hooks, local);
+  parallel::CampaignRunner& runner = select_runner(session, spec, hooks, local);
   result.threads = runner.threads();
   // One cancel token for every kind: a service's per-job token via
   // RunHooks (so it can cancel this campaign without touching the others),

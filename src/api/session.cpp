@@ -1,5 +1,6 @@
 #include "retscan/session.hpp"
 
+#include <span>
 #include <string>
 
 #include "atpg/atpg.hpp"
@@ -203,15 +204,21 @@ ScanTestResult Session::deliver_scan_test(const std::vector<BitVec>& patterns,
                                           Backend backend, std::size_t shard_size,
                                           ThreadPool& pool,
                                           const parallel::RunControls& controls) {
+  const ProtectedDesign& test_design = design();
+  const CombinationalFrame& test_frame = frame();
   if (backend != Backend::Reference) {
-    return apply_test_mode_scan_test_packed(design(), frame(), patterns, pool, shard_size,
-                                            controls);
+    return apply_test_mode_scan_test_packed(test_design, test_frame, patterns, pool,
+                                            shard_size, controls);
   }
-  // The scalar tester is one unsharded shard on the loop, so a cancel or
-  // deadline reaches it too.
+  // The scalar tester on the packed delivery's shard plan: each shard
+  // drives its own RetentionSession, so shards run concurrently.
   const parallel::ShardReport<ScanTestResult> loop = parallel::run_shards<ScanTestResult>(
-      pool, patterns.size(), 0, controls, [&](const parallel::ShardRange&) {
-        return apply_test_mode_scan_test(retention(), design(), frame(), patterns);
+      pool, patterns.size(), test_mode_shard_size(shard_size), controls,
+      [&](const parallel::ShardRange& shard) {
+        RetentionSession session(test_design);
+        return apply_test_mode_scan_test(
+            session, test_design, test_frame,
+            std::span<const BitVec>(patterns).subspan(shard.first, shard.count));
       });
   ScanTestResult result = loop.merged;
   result.shards = loop;

@@ -195,7 +195,7 @@ ScanTestResult apply_scan_test(PackedSim& sim, const ScanChains& chains,
 ScanTestResult apply_test_mode_scan_test(RetentionSession& session,
                                          const ProtectedDesign& design,
                                          const CombinationalFrame& frame,
-                                         const std::vector<BitVec>& patterns) {
+                                         std::span<const BitVec> patterns) {
   ScanTestResult result;
   Simulator& sim = session.sim();
   const ScanChains& chains = design.chains();
@@ -305,18 +305,19 @@ ScanTestResult run_test_mode_packed_range(const ProtectedDesign& design,
 
 }  // namespace
 
+std::size_t test_mode_shard_size(std::size_t shard_size) {
+  // Whole 64-lane batches, so every shard plan forms the same batches.
+  const std::size_t lanes = PackedSim::lane_count();
+  return std::max(lanes, (shard_size == 0 ? 256 : shard_size) / lanes * lanes);
+}
+
 ScanTestResult apply_test_mode_scan_test_packed(const ProtectedDesign& design,
                                                 const CombinationalFrame& frame,
                                                 const std::vector<BitVec>& patterns,
                                                 ThreadPool& pool, std::size_t shard_size,
                                                 const parallel::RunControls& controls) {
-  // Shards are whole 64-lane batches (256 patterns when none is asked), so
-  // every shard plan forms exactly the same batches.
-  const std::size_t lanes = PackedSim::lane_count();
-  const std::size_t per_shard =
-      std::max(lanes, (shard_size == 0 ? 256 : shard_size) / lanes * lanes);
   const parallel::ShardReport<ScanTestResult> loop = parallel::run_shards<ScanTestResult>(
-      pool, patterns.size(), per_shard, controls,
+      pool, patterns.size(), test_mode_shard_size(shard_size), controls,
       [&](const parallel::ShardRange& shard) {
         return run_test_mode_packed_range(design, frame, patterns, shard.first, shard.count);
       });

@@ -1,6 +1,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "atpg/fault_sim.hpp"
@@ -56,12 +57,15 @@ ScanTestResult apply_scan_test(PackedSim& sim, const ScanChains& chains,
 ScanTestResult apply_test_mode_scan_test(RetentionSession& session,
                                          const ProtectedDesign& design,
                                          const CombinationalFrame& frame,
-                                         const std::vector<BitVec>& patterns);
+                                         std::span<const BitVec> patterns);
+
+/// Test-mode delivery shard: 0 → 256 patterns, else whole 64-lane batches.
+std::size_t test_mode_shard_size(std::size_t shard_size);
 
 /// 64-lane test-mode delivery: one lane per pattern through the same
 /// tsi/tso concatenation. The pattern set is cut into shards of
-/// `shard_size` patterns (0 → 256, floored to whole 64-lane batches) on the
-/// shard loop, which `controls` reach (cancel, progress). Every shard
+/// test_mode_shard_size(shard_size) patterns on the shard loop, which
+/// `controls` reach (cancel, progress). Every shard
 /// drives its own PackedSim over the design (scan loading fully overwrites
 /// the state each batch, so shards are independent and the merged result
 /// is identical at any thread count; a 1-thread pool is the serial path).

@@ -38,11 +38,12 @@ bool same_campaign_shape(const ValidationConfig& a, const ValidationConfig& b) {
 
 }  // namespace
 
-/// Free-lists of warm testbenches, one tier per campaign kind. acquire()
-/// hands out a reseeded warm instance when the shape matches (the steady
-/// state: one instance per pool thread), otherwise constructs fresh;
-/// release() returns it for the next shard. A shape change retires the old
-/// pool — campaigns against a different design rebuild once, as before.
+/// Free-lists of warm testbenches, one tier per testbench type (scalar and
+/// packed structural runs share one). acquire() hands out a reseeded warm
+/// instance when the shape matches (the steady state: one instance per pool
+/// thread), otherwise constructs fresh; release() returns it for the next
+/// shard. A shape change retires the old pool — campaigns against a
+/// different design rebuild once, as before.
 struct CampaignRunner::WorkspacePool {
   template <typename Bench>
   struct Tier {
@@ -147,44 +148,48 @@ ShardOutcome decode_outcome(const JournalRecord& record) {
   return outcome;
 }
 
-/// Validation on the one shard loop: per-shard config with a derived seed
-/// stream, run_shard runs a testbench tier against it, and the journal
-/// stores the flattened outcomes.
-template <typename RunShard>
-CampaignReport run_campaign(CampaignRunner& runner, const ValidationConfig& config,
-                            std::size_t count, std::size_t shard_size,
-                            const RunControls& controls, RunShard&& run_shard) {
+/// Validation on the one shard loop: each shard derives its seed stream,
+/// runs `trials` on a pooled workspace of `tier` (acquire — reseed or build
+/// — run, release; a throwing run simply drops the instance, so the pool
+/// never sees a half-run testbench), and the journal stores the flattened
+/// outcomes. The token reaches the testbench, which checks it per trial.
+template <typename Bench>
+using TrialsFn = ValidationStats (Bench::*)(std::size_t, const CancelToken*);
+
+template <typename Tier, typename Bench>
+CampaignReport run_campaign(CampaignRunner& runner, Tier& tier, TrialsFn<Bench> trials,
+                            const ValidationConfig& config, std::size_t count,
+                            std::size_t shard_size, const RunControls& controls) {
   const ShardReport<ShardOutcome> loop = run_shards<ShardOutcome>(
       runner.pool(), count, shard_size, controls,
       [&](const ShardRange& shard) {
         ValidationConfig shard_config = config;
         shard_config.seed = shard_seed(config.seed, shard.index);
-        return run_shard(shard_config, shard.count);
+        std::unique_ptr<Bench> bench = tier.acquire(shard_config);
+        // Discard acquire-time counters (construction / reseed resync
+        // settles) so a shard's telemetry covers exactly its own run.
+        // Without this, warm and fresh workspaces report different counts
+        // for the same shard — and which shards land on warm instances is a
+        // scheduling accident, which would make the merged telemetry vary
+        // across thread counts and break the kill/resume byte-identical
+        // contract.
+        (void)bench->take_telemetry();
+        ShardOutcome outcome;
+        outcome.stats = ((*bench).*trials)(shard.count, controls.cancel);
+        outcome.telemetry = bench->take_telemetry();
+        tier.release(std::move(bench));
+        return outcome;
       },
       ShardCodec<ShardOutcome>{encode_outcome, decode_outcome});
   return CampaignReport{loop, loop.merged.stats, loop.merged.telemetry, runner.threads()};
 }
 
-/// Run one shard on a pooled workspace: acquire (reseed or build), run,
-/// release. If the run throws, the instance is simply dropped — the pool
-/// never sees a half-run testbench. Telemetry is drained before release so
-/// a warm instance never carries counters across shards.
-template <typename Tier, typename Run>
-ShardOutcome run_on_tier(Tier& tier, const ValidationConfig& shard_config,
-                         Run&& run) {
-  auto bench = tier.acquire(shard_config);
-  // Discard acquire-time counters (construction / reseed resync settles) so
-  // a shard's telemetry covers exactly its own run. Without this, warm and
-  // fresh workspaces report different counts for the same shard — and which
-  // shards land on warm instances is a scheduling accident, which would make
-  // the merged telemetry vary across thread counts and break the
-  // kill/resume byte-identical contract.
-  (void)bench->take_telemetry();
-  ShardOutcome outcome;
-  outcome.stats = run(*bench);
-  outcome.telemetry = bench->take_telemetry();
-  tier.release(std::move(bench));
-  return outcome;
+/// The gate-level shard plan both structural tiers share: whole 64-lane
+/// batches, kStructuralShardSize when the campaign names none.
+std::size_t structural_shard_size(std::size_t shard_size) {
+  const std::size_t lanes = PackedSim::lane_count();
+  const std::size_t size = shard_size != 0 ? shard_size : kStructuralShardSize;
+  return (size + lanes - 1) / lanes * lanes;
 }
 
 }  // namespace
@@ -192,31 +197,23 @@ ShardOutcome run_on_tier(Tier& tier, const ValidationConfig& shard_config,
 CampaignReport CampaignRunner::run_fast(const ValidationConfig& config,
                                         std::size_t count, std::size_t shard_size,
                                         const RunControls& controls) {
-  if (shard_size == 0) {
-    shard_size = kBehavioralShardSize;
-  }
-  return run_campaign(*this, config, count, shard_size, controls,
-                      [this](const ValidationConfig& shard_config, std::size_t n) {
-                        return run_on_tier(workspaces_->fast, shard_config,
-                                           [n](FastTestbench& b) { return b.run(n); });
-                      });
+  return run_campaign(*this, workspaces_->fast, &FastTestbench::run, config, count,
+                      shard_size != 0 ? shard_size : kBehavioralShardSize, controls);
 }
 
 CampaignReport CampaignRunner::run_structural_packed(const ValidationConfig& config,
                                                      std::size_t count,
                                                      std::size_t shard_size,
                                                      const RunControls& controls) {
-  if (shard_size == 0) {
-    shard_size = kStructuralShardSize;
-  }
-  const std::size_t lanes = PackedSim::lane_count();
-  shard_size = (shard_size + lanes - 1) / lanes * lanes;
-  return run_campaign(
-      *this, config, count, shard_size, controls,
-      [this](const ValidationConfig& shard_config, std::size_t n) {
-        return run_on_tier(workspaces_->structural, shard_config,
-                           [n](StructuralTestbench& b) { return b.run_packed(n); });
-      });
+  return run_campaign(*this, workspaces_->structural, &StructuralTestbench::run_packed,
+                      config, count, structural_shard_size(shard_size), controls);
+}
+
+CampaignReport CampaignRunner::run_structural(const ValidationConfig& config,
+                                              std::size_t count, std::size_t shard_size,
+                                              const RunControls& controls) {
+  return run_campaign(*this, workspaces_->structural, &StructuralTestbench::run, config,
+                      count, structural_shard_size(shard_size), controls);
 }
 
 }  // namespace retscan::parallel

@@ -69,6 +69,12 @@ class CampaignRunner {
                                        std::size_t shard_size = 0,
                                        const RunControls& controls = {});
 
+  /// The scalar oracle of run_structural_packed (StructuralTestbench::run,
+  /// one trial at a time) on the same shard plan, seeds and workspaces.
+  CampaignReport run_structural(const ValidationConfig& config, std::size_t count,
+                                std::size_t shard_size = 0,
+                                const RunControls& controls = {});
+
  private:
   // Persistent per-thread workspaces: warm testbenches (compiled design +
   // sessions + cone caches) kept across shards and campaigns, reseeded per

@@ -49,8 +49,9 @@ inline std::vector<ShardRange> plan_shards(std::size_t total, std::size_t shard_
 /// single-campaign run exactly. None of them can change the statistics —
 /// they interrupt or observe the shard loop, never reseed it.
 struct RunControls {
-  /// Polled before each shard; a cancelled token skips the shards that have
-  /// not started (completed shards still merge — partial statistics).
+  /// Polled before each shard (and each validation trial): a cancelled token
+  /// skips unstarted shards and stops those in flight (completed shards
+  /// still merge — partial statistics).
   const CancelToken* cancel = nullptr;
   /// Checkpoint journal: completed shards are appended (and flushed) as
   /// they finish; shards already in the journal are merged from it instead

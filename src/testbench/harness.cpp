@@ -69,7 +69,7 @@ void FastTestbench::reseed(std::uint64_t seed) {
                                               injector_seed(config_));
 }
 
-ValidationStats FastTestbench::run(std::size_t count) {
+ValidationStats FastTestbench::run(std::size_t count, const CancelToken* cancel) {
   ValidationStats stats;
   const bool use_hamming = config_.kind != CodeKind::CrcDetect;
   const bool use_crc = config_.kind != CodeKind::HammingCorrect;
@@ -79,6 +79,9 @@ ValidationStats FastTestbench::run(std::size_t count) {
                         config_.chain_count);
 
   for (std::size_t seq = 0; seq < count; ++seq) {
+    if (cancel != nullptr) {
+      cancel->check();
+    }
     // Stage 1-2: reset + write identical random data to FIFO_A and FIFO_B.
     std::vector<BitVec> fifo_a;
     fifo_a.reserve(config_.chain_count);
@@ -215,7 +218,8 @@ ScheduleTelemetry StructuralTestbench::take_telemetry() {
   return telemetry;
 }
 
-ValidationStats StructuralTestbench::run_packed(std::size_t count) {
+ValidationStats StructuralTestbench::run_packed(std::size_t count,
+                                                const CancelToken* cancel) {
   ValidationStats stats;
   if (!packed_session_) {
     packed_session_ = std::make_unique<PackedRetentionSession>(*design_);
@@ -235,6 +239,9 @@ ValidationStats StructuralTestbench::run_packed(std::size_t count) {
   }
 
   for (std::size_t base = 0; base < count; base += PackedSim::lane_count()) {
+    if (cancel != nullptr) {
+      cancel->check();
+    }
     const std::size_t lanes = std::min(PackedSim::lane_count(), count - base);
 
     // Stage 1: reset both FIFOs by blanking the retained state (all lanes).
@@ -293,12 +300,15 @@ ValidationStats StructuralTestbench::run_packed(std::size_t count) {
   return stats;
 }
 
-ValidationStats StructuralTestbench::run(std::size_t count) {
+ValidationStats StructuralTestbench::run(std::size_t count, const CancelToken* cancel) {
   ValidationStats stats;
   Simulator& sim = session_->sim();
   const std::size_t width = config_.fifo.width;
 
   for (std::size_t seq = 0; seq < count; ++seq) {
+    if (cancel != nullptr) {
+      cancel->check();
+    }
     // Stage 1: reset both FIFOs by restoring a blank state.
     FifoModel fifo_b(config_.fifo);
     std::vector<BitVec> blank(config_.chain_count, BitVec(design_->chain_length()));

@@ -10,6 +10,7 @@
 #include "core/protected_design.hpp"
 #include "power/corruption.hpp"
 #include "sim/schedule.hpp"
+#include "util/cancel.hpp"
 #include "util/rng.hpp"
 
 namespace retscan {
@@ -95,8 +96,9 @@ class FastTestbench {
   const ValidationConfig& config() const { return config_; }
   std::size_t chain_length() const { return chain_length_; }
 
-  /// Run `count` test sequences and accumulate statistics.
-  ValidationStats run(std::size_t count);
+  /// Run `count` test sequences and accumulate statistics; throws Cancelled
+  /// once `cancel` (checked before every sequence) fires.
+  ValidationStats run(std::size_t count, const CancelToken* cancel = nullptr);
 
   /// Rewind to the state of a freshly constructed testbench with the same
   /// shape but `seed`. This is what makes persistent per-thread workspaces
@@ -127,7 +129,8 @@ class StructuralTestbench {
 
   const ProtectedDesign& design() const { return *design_; }
 
-  ValidationStats run(std::size_t count);
+  /// One trial at a time; `cancel` as in FastTestbench::run.
+  ValidationStats run(std::size_t count, const CancelToken* cancel = nullptr);
 
   /// Bit-parallel campaign: batches of 64 corruption trials share one
   /// simulated design. Each batch writes one random stimulus (broadcast to
@@ -135,7 +138,7 @@ class StructuralTestbench {
   /// upset sets — the comparator and monitor outcomes are read per lane.
   /// Statistically equivalent to run() (same protocol, same injectors) at a
   /// fraction of the simulation cost; this is the paper-scale path.
-  ValidationStats run_packed(std::size_t count);
+  ValidationStats run_packed(std::size_t count, const CancelToken* cancel = nullptr);
 
   /// Rewind to a freshly constructed testbench with the same shape but
   /// `seed`: the simulators return to their power-on state (construction

@@ -87,20 +87,37 @@ std::string error_message(const std::function<void()>& action) {
 // --- Session-routed campaigns vs the engine entry points --------------------
 
 TEST(ApiValidation, BehavioralReferenceMatchesFastTestbench) {
+  // Bursts make the counters depend on the seed stream (a single random
+  // upset is always corrected, whatever the seed).
   const std::size_t sequences = 5000;
   Session session = paper_session();
   CampaignSpec spec;
   spec.kind = CampaignKind::Validation;
   spec.backend = Backend::Reference;
+  spec.mode = InjectionMode::MultipleBurst;
+  spec.burst_size = 4;
+  spec.burst_spread = 1;
   spec.seed = 2024;
   spec.sequences = sequences;
   const CampaignResult result = session.run(spec);
 
-  FastTestbench direct(paper_config(2024, InjectionMode::SingleRandom));
-  EXPECT_EQ(result.validation, direct.run(sequences));
+  // The behavioral tier has one model, so Reference is the pooled campaign.
+  ValidationConfig config = paper_config(2024, InjectionMode::MultipleBurst);
+  config.burst_size = 4;
+  config.burst_spread = 1;
+  parallel::CampaignRunner runner;
+  const parallel::CampaignReport direct = runner.run_fast(config, sequences);
+  EXPECT_EQ(result.validation, direct.stats);
+  EXPECT_EQ(result.shard_count, direct.shard_count);
   EXPECT_EQ(result.backend, Backend::Reference);
-  EXPECT_EQ(result.threads, 1u);
+  EXPECT_EQ(result.threads, session.threads());
   EXPECT_TRUE(result.passed());
+
+  // On a one-shard plan it is one FastTestbench run on shard 0's stream.
+  spec.shard_size = sequences;
+  ValidationConfig shard0 = config;
+  shard0.seed = parallel::shard_seed(2024, 0);
+  EXPECT_EQ(session.run(spec).validation, FastTestbench(shard0).run(sequences));
 }
 
 TEST(ApiValidation, BehavioralPooledMatchesCampaignRunner) {
@@ -162,22 +179,78 @@ TEST(ApiValidation, StructuralBackendsMatchTestbenches) {
   spec.tier = ValidationTier::Structural;
   spec.seed = seed;
 
+  // Reference runs the scalar testbench on the packed plan: one shard of 6
+  // trials on shard 0's stream here, and the runner's scalar tier on two.
   spec.backend = Backend::Reference;
   spec.sequences = 6;
   const CampaignResult reference = session.run(spec);
-  EXPECT_EQ(reference.validation,
-            StructuralTestbench(gate_config(seed, InjectionMode::SingleRandom)).run(6));
+  ValidationConfig shard0 = gate_config(seed, InjectionMode::SingleRandom);
+  shard0.seed = parallel::shard_seed(seed, 0);
+  EXPECT_EQ(reference.validation, StructuralTestbench(shard0).run(6));
+  EXPECT_EQ(reference.shard_count, 1u);
 
-  spec.backend = Backend::PackedParallel;
   spec.sequences = 128;
   spec.shard_size = 64;
-  const CampaignResult pooled = session.run(spec);
+  const CampaignResult two_shards = session.run(spec);
   parallel::CampaignRunner runner;
+  const parallel::CampaignReport scalar = runner.run_structural(
+      gate_config(seed, InjectionMode::SingleRandom), 128, 64);
+  EXPECT_EQ(two_shards.validation, scalar.stats);
+  EXPECT_EQ(two_shards.activity, scalar.telemetry);
+  EXPECT_EQ(two_shards.shard_count, 2u);
+  EXPECT_TRUE(two_shards.passed());
+
+  spec.backend = Backend::PackedParallel;
+  const CampaignResult pooled = session.run(spec);
   const parallel::CampaignReport direct = runner.run_structural_packed(
       gate_config(seed, InjectionMode::SingleRandom), 128, 64);
   EXPECT_EQ(pooled.validation, direct.stats);
   EXPECT_EQ(pooled.shard_count, 2u);
   EXPECT_TRUE(pooled.passed());
+}
+
+// Reference shards run the scalar simulators on the shared shard plan, so
+// like every other backend their results do not depend on the thread count.
+TEST(ApiValidation, ReferenceIsThreadCountInvariant) {
+  Session gate = gate_session();
+  CampaignSpec spec;
+  spec.kind = CampaignKind::Validation;
+  spec.tier = ValidationTier::Structural;
+  spec.backend = Backend::Reference;
+  spec.mode = InjectionMode::MultipleBurst;
+  spec.seed = 31;
+  spec.sequences = 256;
+  spec.shard_size = 64;
+  spec.threads = 1;
+  const CampaignResult serial = gate.run(spec);
+  spec.threads = 4;
+  const CampaignResult pooled = gate.run(spec);
+  EXPECT_EQ(serial.threads, 1u);
+  EXPECT_EQ(pooled.threads, 4u);
+  EXPECT_EQ(serial.shard_count, 4u);
+  EXPECT_EQ(serial.validation, pooled.validation);
+  EXPECT_EQ(serial.activity, pooled.activity);
+  EXPECT_GT(serial.validation.sequences_with_errors, 0u);
+
+  Session deep = deep_scan_session();
+  CampaignSpec scan;
+  scan.kind = CampaignKind::ScanTest;
+  scan.backend = Backend::Reference;
+  scan.seed = 1;
+  scan.atpg.random_patterns = 256;
+  scan.atpg.max_backtracks = 100;
+  scan.shard_size = 64;
+  scan.threads = 1;
+  const CampaignResult scan_serial = deep.run(scan);
+  scan.threads = 4;
+  const CampaignResult scan_pooled = deep.run(scan);
+  EXPECT_GT(scan_serial.shard_count, 1u);
+  EXPECT_EQ(scan_serial.shard_count, scan_pooled.shard_count);
+  EXPECT_EQ(scan_serial.scan_test.patterns_applied,
+            scan_pooled.scan_test.patterns_applied);
+  EXPECT_EQ(scan_serial.scan_test.patterns_applied, scan_serial.atpg.patterns.size());
+  EXPECT_EQ(scan_serial.scan_test.mismatches, scan_pooled.scan_test.mismatches);
+  EXPECT_TRUE(scan_serial.passed());
 }
 
 // The schedule knob must never change campaign statistics — only how the
@@ -412,6 +485,7 @@ struct KindCase {
   const char* name;
   CampaignKind kind;
   ValidationTier tier = ValidationTier::Behavioral;
+  Backend backend = Backend::Auto;
 };
 
 /// Shards a cancelled run completes; every spec below plans more.
@@ -420,6 +494,7 @@ constexpr std::size_t kCancelAfter = 2;
 CampaignSpec cancel_spec(const KindCase& c) {
   CampaignSpec spec;
   spec.kind = c.kind;
+  spec.backend = c.backend;
   spec.seed = 3;
   spec.threads = 1;
   spec.shard_size = 64;
@@ -497,7 +572,13 @@ INSTANTIATE_TEST_SUITE_P(
                       KindCase{"TransitionDelay", CampaignKind::TransitionDelay},
                       KindCase{"Bridging", CampaignKind::Bridging},
                       KindCase{"SequentialCoverage", CampaignKind::SequentialCoverage},
-                      KindCase{"ScanTest", CampaignKind::ScanTest}),
+                      KindCase{"ScanTest", CampaignKind::ScanTest},
+                      KindCase{"ReferenceBehavioralValidation", CampaignKind::Validation,
+                               ValidationTier::Behavioral, Backend::Reference},
+                      KindCase{"ReferenceStructuralValidation", CampaignKind::Validation,
+                               ValidationTier::Structural, Backend::Reference},
+                      KindCase{"ReferenceScanTest", CampaignKind::ScanTest,
+                               ValidationTier::Behavioral, Backend::Reference}),
     [](const ::testing::TestParamInfo<KindCase>& info) { return info.param.name; });
 
 TEST(ApiCancel, PreCancelledTokenStopsAtpgBeforeItsFirstCommit) {
@@ -565,13 +646,12 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
                 .find("SEC-DED"),
             std::string::npos);
 
+  // Reference shares every backend's shard plan, so shard_size applies.
   CampaignSpec reference_shard;
   reference_shard.kind = CampaignKind::FaultCoverage;
   reference_shard.backend = Backend::Reference;
   reference_shard.shard_size = 4096;
-  EXPECT_NE(error_message([&] { validate(reference_shard, session); })
-                .find("shard_size"),
-            std::string::npos);
+  EXPECT_NO_THROW(validate(reference_shard, session));
 
   CampaignSpec no_patterns;
   no_patterns.kind = CampaignKind::FaultCoverage;
@@ -581,8 +661,9 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
                 .find("empty pattern set"),
             std::string::npos);
 
-  // Explicit event scheduling needs a gate-level sweep to schedule:
-  // behavioral tier, the Reference oracle and non-validation kinds reject.
+  // Explicit event scheduling needs a gate-level sweep to schedule: the
+  // behavioral tier and non-validation kinds reject it; the scalar
+  // (Reference) simulator schedules like the packed one.
   CampaignSpec behavioral_event;
   behavioral_event.kind = CampaignKind::Validation;
   behavioral_event.sequences = 10;
@@ -594,9 +675,7 @@ TEST(ApiValidate, RejectsUnrunnableSpecs) {
   CampaignSpec reference_event = behavioral_event;
   reference_event.tier = ValidationTier::Structural;
   reference_event.backend = Backend::Reference;
-  EXPECT_NE(error_message([&] { validate(reference_event, session); })
-                .find("full-sweep oracle"),
-            std::string::npos);
+  EXPECT_NO_THROW(validate(reference_event, session));
 
   CampaignSpec coverage_event;
   coverage_event.kind = CampaignKind::FaultCoverage;
@@ -650,7 +729,7 @@ TEST(ApiValidate, RejectsBadDurabilitySpecs) {
                 .find("no journal"),
             std::string::npos);
 
-  // Durability rides the sharded validation runner only.
+  // Checkpoints ride the validation shard loop only, on every backend.
   CampaignSpec coverage = base;
   coverage.kind = CampaignKind::FaultCoverage;
   coverage.atpg.random_patterns = 16;
@@ -662,9 +741,8 @@ TEST(ApiValidate, RejectsBadDurabilitySpecs) {
   CampaignSpec reference = base;
   reference.backend = Backend::Reference;
   reference.checkpoint = "reference.journal";
-  EXPECT_NE(error_message([&] { validate(reference, session); })
-                .find("unsharded"),
-            std::string::npos);
+  reference.deadline_ms = 1000;
+  EXPECT_NO_THROW(validate(reference, session));
 
   // Checkpoint path problems are caught before any work runs.
   CampaignSpec dir_path = base;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -343,6 +344,33 @@ TEST(DurableCampaign, ExpiredDeadlineYieldsTimeoutStatus) {
   EXPECT_EQ(report.shards_completed, 0u);
 }
 
+// The testbenches check the token before every trial, so a deadline stops
+// a shard in flight instead of waiting for it: each run below is a single
+// shard that would take minutes to finish.
+TEST(DurableCampaign, DeadlineStopsTheShardInFlight) {
+  FailpointGuard off("");
+  parallel::CampaignRunner runner(parallel::CampaignOptions{.threads = 1});
+  const std::size_t behavioral = std::size_t{1} << 21;
+  const std::size_t structural = std::size_t{1} << 18;
+  const auto start = std::chrono::steady_clock::now();
+  for (int tier = 0; tier < 3; ++tier) {
+    CancelToken deadline;
+    deadline.set_deadline_ms(50);
+    parallel::RunControls controls;
+    controls.cancel = &deadline;
+    const ValidationConfig gate = structural_config(Schedule::Auto);
+    const parallel::CampaignReport report =
+        tier == 0   ? runner.run_fast(behavioral_config(), behavioral, behavioral, controls)
+        : tier == 1 ? runner.run_structural(gate, structural, structural, controls)
+                    : runner.run_structural_packed(gate, structural, structural,
+                                                   controls);
+    EXPECT_EQ(report.status, CampaignStatus::Timeout) << "tier " << tier;
+    EXPECT_EQ(report.shard_count, 1u);
+    EXPECT_EQ(report.shards_completed, 0u);
+  }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(10));
+}
+
 // The shard loop consults the journal before the cancel token: journaled
 // shards still merge (and report progress) after a cancel, while every
 // shard the journal lacks is skipped unrun.
@@ -575,6 +603,103 @@ TEST(ApiDurability, CheckpointThenResumeReproducesCleanRun) {
   EXPECT_EQ(resumed.shards_resumed, resumed.shard_count);
   EXPECT_TRUE(resumed.validation == clean.validation);
   EXPECT_TRUE(resumed.passed());
+}
+
+namespace {
+
+Session gate_session() {
+  ProtectionConfig protection;
+  protection.kind = CodeKind::HammingPlusCrc;
+  protection.hamming_r = 3;
+  protection.chain_count = 8;
+  protection.test_width = 4;
+  return Session(FifoSpec{32, 2}, protection);
+}
+
+Session paper_session() {
+  ProtectionConfig protection;
+  protection.kind = CodeKind::HammingPlusCrc;
+  protection.hamming_r = 3;
+  protection.chain_count = 80;
+  return Session(FifoSpec{32, 32}, protection);
+}
+
+CampaignSpec pinned_spec() {
+  CampaignSpec spec;
+  spec.kind = CampaignKind::Validation;
+  spec.seed = 2024;
+  spec.sequences = 4096;
+  spec.shard_size = 512;
+  return spec;
+}
+
+}  // namespace
+
+// A checkpointed Reference run (scalar gate-level shards) that a throwing
+// shard stops resumes to exactly the uninterrupted result.
+TEST(ApiDurability, ThrowInterruptedReferenceRunResumesBitIdentically) {
+  FailpointGuard off("");
+  ScopedJournalPath path("test_durability_reference.journal");
+  Session session = gate_session();
+  CampaignSpec spec;
+  spec.kind = CampaignKind::Validation;
+  spec.tier = ValidationTier::Structural;
+  spec.backend = Backend::Reference;
+  spec.mode = InjectionMode::MultipleBurst;
+  spec.seed = 9;
+  spec.threads = 2;
+  spec.sequences = 384;
+  spec.shard_size = 64;
+
+  const CampaignResult clean = run(session, spec);
+  ASSERT_EQ(clean.status, CampaignStatus::Complete);
+
+  spec.checkpoint = path.str();
+  {
+    FailpointGuard arm("shard.run=throw@4");
+    EXPECT_THROW(run(session, spec), Error);
+  }
+  spec.resume = true;
+  const CampaignResult resumed = run(session, spec);
+  EXPECT_EQ(resumed.status, CampaignStatus::Complete);
+  EXPECT_GE(resumed.shards_resumed, 1u);
+  EXPECT_LT(resumed.shards_resumed, resumed.shard_count);
+  EXPECT_TRUE(resumed.validation == clean.validation);
+  EXPECT_TRUE(resumed.activity == clean.activity);
+}
+
+// Only a Reference spec adds the backend word: an Auto / PackedParallel
+// fingerprint is the one their journals on disk carry (this value was
+// computed before Reference runs could checkpoint at all).
+TEST(ApiDurability, PackedParallelFingerprintIsUnchanged) {
+  Session session = paper_session();
+  CampaignSpec spec = pinned_spec();
+  spec.backend = Backend::PackedParallel;
+  EXPECT_EQ(campaign_fingerprint(spec, session), 0x22d0a579dc84e842ull);
+  spec.backend = Backend::Auto;
+  EXPECT_EQ(campaign_fingerprint(spec, session), 0x22d0a579dc84e842ull);
+  spec.backend = Backend::Reference;
+  EXPECT_NE(campaign_fingerprint(spec, session), 0x22d0a579dc84e842ull);
+}
+
+TEST(ApiDurability, ReferenceRefusesAPackedParallelJournal) {
+  FailpointGuard off("");
+  ScopedJournalPath path("test_durability_backend.journal");
+  Session session = paper_session();
+  CampaignSpec spec = pinned_spec();
+  spec.backend = Backend::PackedParallel;
+  spec.checkpoint = path.str();
+  ASSERT_EQ(run(session, spec).status, CampaignStatus::Complete);
+
+  spec.backend = Backend::Reference;
+  spec.resume = true;
+  try {
+    run(session, spec);
+    ADD_FAILURE() << "a Reference run resumed a PackedParallel journal";
+  } catch (const Error& error) {
+    EXPECT_NE(std::string(error.what()).find("different campaign"), std::string::npos)
+        << error.what();
+  }
 }
 
 TEST(ApiDurability, DeadlineYieldsTimeoutResultThatDoesNotPass) {

@@ -260,7 +260,7 @@ void expect_identical(const CampaignResult& lhs, const CampaignResult& rhs) {
 TEST(Invariance, TransitionDelayThreadsAndSchedule) {
   Session session = Session::from_verilog(circuit_path("cmp1908.v"));
   const CampaignResult serial =
-      run_kind(session, CampaignKind::TransitionDelay, Backend::Reference);
+      run_kind(session, CampaignKind::TransitionDelay, Backend::Reference, 1);
   const CampaignResult one =
       run_kind(session, CampaignKind::TransitionDelay, Backend::PackedParallel, 1);
   const CampaignResult eight =
@@ -276,7 +276,7 @@ TEST(Invariance, TransitionDelayThreadsAndSchedule) {
 TEST(Invariance, BridgingThreads) {
   Session session = Session::from_verilog(circuit_path("cmp1908.v"));
   const CampaignResult serial =
-      run_kind(session, CampaignKind::Bridging, Backend::Reference);
+      run_kind(session, CampaignKind::Bridging, Backend::Reference, 1);
   const CampaignResult one =
       run_kind(session, CampaignKind::Bridging, Backend::PackedParallel, 1);
   const CampaignResult eight =
@@ -289,7 +289,7 @@ TEST(Invariance, SequentialThreadsAndSchedule) {
   Session session =
       Session::unprotected(Netlist::from_verilog(circuit_path("s27.v")));
   const CampaignResult serial =
-      run_kind(session, CampaignKind::SequentialCoverage, Backend::Reference);
+      run_kind(session, CampaignKind::SequentialCoverage, Backend::Reference, 1);
   const CampaignResult one = run_kind(
       session, CampaignKind::SequentialCoverage, Backend::PackedParallel, 1);
   const CampaignResult eight = run_kind(

@@ -701,6 +701,40 @@ TEST(ServeJobManager, CancelStopsARunningCoverageJob) {
   failpoints_refresh();
 }
 
+// Reference validation runs on the shared runner's shard loop like every
+// other backend, so a cancel stops it between shards.
+TEST(ServeJobManager, CancelStopsARunningReferenceJob) {
+  const char* prior = std::getenv("RETSCAN_FAILPOINTS");
+  const std::string saved = prior != nullptr ? prior : "";
+  ::setenv("RETSCAN_FAILPOINTS", "shard.run=delay:50@every", 1);
+  failpoints_refresh();
+  {
+    ServeOptions options;
+    options.max_active = 1;
+    JobManager manager(options);
+    SubmitOverrides reference;
+    reference.backend = "reference";
+    reference.sequences = 40960;  // 10 behavioral shards
+    const std::uint64_t id = manager.submit(validation_spec(), reference);
+    manager.wait(id, [](const JobRecord& now) { return now.state == JobState::Queued; });
+    EXPECT_TRUE(manager.cancel(id));
+    const auto record = manager.wait(id);
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->state, JobState::Cancelled) << record->error;
+    ASSERT_TRUE(record->summary.has_value());
+    EXPECT_EQ(record->summary->status, "cancelled");
+    EXPECT_EQ(record->summary->backend, "reference");
+    EXPECT_LT(record->summary->shards_completed, record->summary->shard_count);
+    EXPECT_FALSE(record->summary->passed);
+  }
+  if (prior != nullptr) {
+    ::setenv("RETSCAN_FAILPOINTS", saved.c_str(), 1);
+  } else {
+    ::unsetenv("RETSCAN_FAILPOINTS");
+  }
+  failpoints_refresh();
+}
+
 TEST(ServeJobManager, WaitReportsEachChangeThenTheTerminalRecord) {
   ServeOptions options;
   options.max_active = 1;

@@ -182,25 +182,25 @@ TEST(Recovery, LatencyScalesWithIsrAndBus) {
 }
 
 // `retscan describe examples/coverage.spec --backend reference` must report
-// the thread count the run then uses: one for Reference, whatever the
-// session's pool.
+// the thread count the run then uses: the spec's threads, else the
+// session's pool, on every backend.
 TEST(RunPlan, ReportedThreadsMatchTheRun) {
   SpecFile file = load_spec_file(RETSCAN_CIRCUITS_DIR "/../../examples/coverage.spec");
   file.campaign.threads = 4;
   file.campaign.backend = Backend::Reference;
   Session session = make_session(file);
-  const Backend reference = resolve_backend(file.campaign, session);
-  EXPECT_EQ(resolve_threads(file.campaign, session, reference), 1u);
-  EXPECT_EQ(session.run(file.campaign).threads, 1u);
+  EXPECT_EQ(resolve_threads(file.campaign, session), 4u);
+  EXPECT_EQ(session.run(file.campaign).threads, 4u);
 
   file.campaign.backend = Backend::Auto;
-  const Backend pooled = resolve_backend(file.campaign, session);
-  EXPECT_EQ(resolve_threads(file.campaign, session, pooled), 4u);
+  EXPECT_EQ(resolve_threads(file.campaign, session), 4u);
   EXPECT_EQ(session.run(file.campaign).threads, 4u);
 
   // threads = 0 defers to the session's pool.
   file.campaign.threads = 0;
-  EXPECT_EQ(resolve_threads(file.campaign, session, pooled), session.threads());
+  EXPECT_EQ(resolve_threads(file.campaign, session), session.threads());
+  file.campaign.backend = Backend::Reference;
+  EXPECT_EQ(session.run(file.campaign).threads, session.threads());
 }
 
 }  // namespace

@@ -165,7 +165,7 @@ int run_command(const std::string& command, int argc, char** argv) {
     print_build_info(std::cout);
   }
   print_plan(std::cout, file, base ? &*base : nullptr, session.is_protected(),
-             resolved, resolve_threads(file.campaign, session, resolved));
+             resolved, resolve_threads(file.campaign, session));
   if (command == "describe") {
     std::cout << "spec OK (describe only, nothing run)\n";
     return 0;
