@@ -149,9 +149,9 @@ int main() {
     // as the median of interleaved pairs, so drift in the host's speed
     // lands on both sides of every ratio. Small shards on purpose — more
     // appends per second of work than the defaults, so the gate bounds the
-    // journal's worst side.
-    const std::size_t ck_sequences =
-        std::max<std::size_t>(std::size_t{4096}, fast_sequences / 8);
+    // journal's worst side. A fixed 2^20 sequences (2048 appends), whatever
+    // RETSCAN_SEQUENCES says, keeps each side at hundreds of ms.
+    const std::size_t ck_sequences = std::size_t{1} << 20;
     const std::size_t ck_shard = 512;
     const std::size_t ck_pairs = 5;
     const std::string path = "bench_checkpoint.journal";
@@ -159,9 +159,9 @@ int main() {
     std::vector<double> durable_times;
     const perfbench::Summary overhead = perfbench::interleaved_ratio(
         [&] {
-          // Journal construction, every per-shard append and the atomic
-          // renames are all inside the timed region — the full durability
-          // tax.
+          // Journal construction, the first flush's atomic rename and
+          // every per-shard append are all inside the timed region — the
+          // full durability tax.
           std::remove(path.c_str());
           CampaignJournal journal(path, /*fingerprint=*/1, single.seed,
                                   CampaignJournal::Mode::Truncate);

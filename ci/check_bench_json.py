@@ -161,8 +161,8 @@ def conditional_ceilings(name, report):
     del report
     ceilings = []
     if name == "validation":
-        # Checkpointing a campaign (one journal append + atomic rename per
-        # shard) must cost at most 5% wall clock over the identical plain
+        # Checkpointing a campaign (one O_APPEND record write per shard,
+        # after one atomic rename on the first) must cost at most 5% wall clock over the identical plain
         # campaign — durability is supposed to be noise, not a tax.
         ceilings.append(("checkpoint_overhead", 1.05, "journal append per shard"))
     return ceilings

@@ -142,9 +142,9 @@ struct CampaignSpec {
 
   // --- Durability (deadline: every kind; checkpoint: validation) -------
   /// Checkpoint journal path (`checkpoint =` spec key / `--checkpoint`):
-  /// completed shards are appended as fixed-format CRC'd records via
-  /// write-temp-then-atomic-rename, so an interrupted campaign loses at
-  /// most the shards in flight. Empty = no checkpointing. Validation
+  /// completed shards are appended as fixed-format CRC'd records (one
+  /// write() each, after a write-temp-then-atomic-rename on the run's first),
+  /// so an interrupted campaign loses at most the shards in flight. Empty = no checkpointing. Validation
   /// kinds only, any backend (campaign_fingerprint binds Reference's own).
   std::string checkpoint;
   /// Resume from `checkpoint` (`resume =` / `--resume`): the journal

@@ -145,8 +145,10 @@ AtpgResult run_atpg(const CombinationalFrame& frame, const std::vector<Fault>& f
   }
   std::optional<ThreadPool> serial;
   ThreadPool& grading_pool = pool != nullptr ? *pool : serial.emplace(1);
-  const FaultSimResult graded =
-      fault_simulate(frame, faults, random, grading_pool, grading::kShard, {cancel});
+  parallel::RunControls grading_controls;
+  grading_controls.cancel = cancel;
+  const FaultSimResult graded = fault_simulate(frame, faults, random, grading_pool,
+                                               grading::kShard, grading_controls);
   std::vector<std::atomic<bool>> detected(faults.size());
   std::vector<bool> useful(random.size(), false);
   for (std::size_t fi = 0; fi < faults.size(); ++fi) {

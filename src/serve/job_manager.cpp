@@ -84,8 +84,11 @@ std::uint64_t JobManager::submit(const std::string& spec_path,
     throw Error("daemon is draining; not accepting new jobs");
   }
   const std::uint64_t id = next_id_++;
-  jobs_.emplace(id, std::make_shared<Job>(Job{
-                        JobRecord{.id = id, .spec_path = spec_path}, overrides}));
+  auto job = std::make_shared<Job>();
+  job->record.id = id;
+  job->record.spec_path = spec_path;
+  job->overrides = overrides;
+  jobs_.emplace(id, std::move(job));
   queue_.push_back(id);
   work_cv_.notify_one();
   return id;

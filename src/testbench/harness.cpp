@@ -1,6 +1,7 @@
 #include "testbench/harness.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "retscan/runtime.hpp"
 #include "scan/scan_io.hpp"
@@ -11,7 +12,7 @@ namespace retscan {
 namespace {
 std::size_t chain_length_for(const ValidationConfig& config) {
   const std::size_t flops = config.fifo.flop_count();
-  RETSCAN_CHECK(flops % config.chain_count == 0,
+  RETSCAN_CHECK(config.chain_count > 0 && flops % config.chain_count == 0,
                 "ValidationConfig: flop count not divisible by chain count");
   return flops / config.chain_count;
 }
@@ -22,6 +23,53 @@ std::size_t chain_length_for(const ValidationConfig& config) {
 std::uint64_t injector_seed(const ValidationConfig& config) {
   return Rng::derive_stream(config.seed, 0x494e4a4543544full);  // "INJECTO"
 }
+
+/// The electrical corruption model RushModel samples from; null otherwise.
+std::unique_ptr<CorruptionModel> corruption_model_for(const ValidationConfig& config) {
+  if (config.mode != InjectionMode::RushModel) {
+    return nullptr;
+  }
+  const RushCurrentModel rush(config.rush);
+  return std::make_unique<CorruptionModel>(config.corruption, rush);
+}
+
+/// One sequence's upsets — the one sampler every testbench tier shares.
+std::vector<ErrorLocation> sample_errors(const ValidationConfig& config,
+                                         std::size_t chain_length,
+                                         ErrorInjector& injector,
+                                         const CorruptionModel* corruption, Rng& rng) {
+  switch (config.mode) {
+    case InjectionMode::None:
+      return {};
+    case InjectionMode::SingleRandom:
+      return {injector.random_single()};
+    case InjectionMode::MultipleBurst:
+      return injector.clustered_burst(config.burst_size, config.burst_spread);
+    case InjectionMode::RushModel:
+      return corruption->sample(config.chain_count, chain_length, rng);
+  }
+  return {};
+}
+
+/// Sort `keys` and keep each key that occurs an odd number of times: the
+/// set of bits a list of flips leaves flipped.
+void xor_reduce(std::vector<std::size_t>& keys) {
+  std::sort(keys.begin(), keys.end());
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < keys.size();) {
+    std::size_t j = i + 1;
+    while (j < keys.size() && keys[j] == keys[i]) {
+      ++j;
+    }
+    if ((j - i) % 2 != 0) {
+      keys[kept++] = keys[i];
+    }
+    i = j;
+  }
+  keys.resize(kept);
+}
+
+constexpr std::size_t kParityPosition = std::numeric_limits<std::size_t>::max();
 
 /// One sequence's contribution to the campaign statistics — the one tally
 /// every testbench tier shares. `errors` is the number of injected upsets;
@@ -57,9 +105,40 @@ void tally(ValidationStats& stats, std::size_t errors, bool detected,
 }  // namespace
 
 FastTestbench::FastTestbench(const ValidationConfig& config)
-    : config_(config), chain_length_(chain_length_for(config)), rng_(config.seed) {
-  injector_ = std::make_unique<ErrorInjector>(config_.chain_count, chain_length_,
-                                              injector_seed(config_));
+    : config_(config),
+      chain_length_(chain_length_for(config)),
+      rng_(config.seed),
+      injector_(std::make_unique<ErrorInjector>(config.chain_count, chain_length_,
+                                                injector_seed(config))),
+      corruption_(corruption_model_for(config)) {
+  const std::size_t chains = config_.chain_count;
+  const HammingCode code(config_.hamming_r);
+  RETSCAN_CHECK(chains % code.k() == 0,
+                "FastTestbench: chain count must be a multiple of the Hamming k");
+  hamming_k_ = code.k();
+  hamming_column_.resize(chains);
+  for (std::size_t c = 0; c < chains; ++c) {
+    hamming_column_[c] = code.data_position(c % hamming_k_);
+  }
+  syndrome_data_.assign(code.n() + 1, kParityPosition);
+  for (std::size_t i = 0; i < hamming_k_; ++i) {
+    syndrome_data_[code.data_position(i)] = i;
+  }
+
+  // The signature absorbs the fabric cycle-major: at shift cycle t every
+  // chain emits its bit at position l-1-t, in chain order. So a lone upset
+  // at (c, p) is followed by m = p*W + (W-1-c) zero bits. Shifting a 1 into
+  // the zero register leaves the polynomial, and each zero bit after it
+  // applies the zero-input step — one walk over m fills the table.
+  const std::uint16_t polynomial = Crc16::ccitt().polynomial();
+  crc_column_.resize(chains * chain_length_);
+  std::uint16_t reg = polynomial;
+  for (std::size_t p = 0; p < chain_length_; ++p) {
+    for (std::size_t c = chains; c-- > 0;) {
+      crc_column_[p * chains + c] = reg;
+      reg = static_cast<std::uint16_t>((reg << 1) ^ ((reg & 0x8000u) != 0 ? polynomial : 0));
+    }
+  }
 }
 
 void FastTestbench::reseed(std::uint64_t seed) {
@@ -73,74 +152,73 @@ ValidationStats FastTestbench::run(std::size_t count, const CancelToken* cancel)
   ValidationStats stats;
   const bool use_hamming = config_.kind != CodeKind::CrcDetect;
   const bool use_crc = config_.kind != CodeKind::HammingCorrect;
-  HammingChainProtector hamming(HammingCode(config_.hamming_r), config_.chain_count,
-                                chain_length_);
-  CrcChainProtector crc(Crc16::ccitt(), config_.chain_count, chain_length_,
-                        config_.chain_count);
+  const std::size_t chains = config_.chain_count;
+  const std::size_t data_draws = chains * ((chain_length_ + 63) / 64);
 
   for (std::size_t seq = 0; seq < count; ++seq) {
     if (cancel != nullptr) {
       cancel->check();
     }
-    // Stage 1-2: reset + write identical random data to FIFO_A and FIFO_B.
-    std::vector<BitVec> fifo_a;
-    fifo_a.reserve(config_.chain_count);
-    for (std::size_t c = 0; c < config_.chain_count; ++c) {
-      fifo_a.push_back(rng_.next_bits(chain_length_));
-    }
-    const std::vector<BitVec> fifo_b = fifo_a;  // golden reference
-
-    // Stage 3: sleep entry — encode.
-    if (use_hamming) {
-      hamming.encode(fifo_a);
-    }
-    if (use_crc) {
-      crc.encode(fifo_a);
+    // Stages 1-2: the data written to FIFO_A and FIFO_B cancels out of
+    // every verdict, but its draws (Rng::next_bits per chain) are still
+    // made, so RushModel samples from the same point of the stream.
+    for (std::size_t i = 0; i < data_draws; ++i) {
+      rng_.next_u64();
     }
 
-    // Sleep: inject upsets into the retained state.
-    std::vector<ErrorLocation> errors;
-    switch (config_.mode) {
-      case InjectionMode::None:
-        break;
-      case InjectionMode::SingleRandom:
-        errors.push_back(injector_->random_single());
-        break;
-      case InjectionMode::MultipleBurst:
-        errors = injector_->clustered_burst(config_.burst_size, config_.burst_spread);
-        break;
-      case InjectionMode::RushModel: {
-        const RushCurrentModel rush(config_.rush);
-        const CorruptionModel model(config_.corruption, rush);
-        errors = model.sample(config_.chain_count, chain_length_, rng_);
-        break;
-      }
+    // Sleep: the upset pattern e, as a set — two flips of one bit cancel.
+    const std::vector<ErrorLocation> errors =
+        sample_errors(config_, chain_length_, *injector_, corruption_.get(), rng_);
+    residual_.clear();
+    for (const ErrorLocation& loc : errors) {
+      RETSCAN_CHECK(loc.chain < chains && loc.position < chain_length_,
+                    "ErrorInjector: location outside fabric");
+      residual_.push_back(loc.position * chains + loc.chain);
     }
-    ErrorInjector::flip_chain_data(fifo_a, errors);
+    xor_reduce(residual_);
 
-    // Stage 4: wake — decode, correct, recheck.
+    // Stage 4: wake — each word's syndrome is the XOR of its upsets'
+    // columns. A data syndrome flips that bit, which returns the word's
+    // syndrome to zero; a parity-position syndrome flips nothing, so the
+    // recheck sees exactly those words again.
     bool detected = false;
     bool recheck_clean = true;
     if (use_hamming) {
-      const auto decode = hamming.decode_and_correct(fifo_a);
-      detected = detected || decode.any_error();
-      const auto recheck = hamming.decode_and_correct(fifo_a);
-      recheck_clean = recheck_clean && !recheck.any_error();
+      const std::size_t upsets = residual_.size();
+      for (std::size_t begin = 0; begin < upsets;) {
+        const std::size_t word = residual_[begin] / hamming_k_;
+        unsigned syndrome = 0;
+        for (; begin < upsets && residual_[begin] / hamming_k_ == word; ++begin) {
+          syndrome ^= hamming_column_[residual_[begin] % chains];
+        }
+        if (syndrome == 0) {
+          continue;
+        }
+        detected = true;
+        const std::size_t data = syndrome_data_[syndrome];
+        if (data == kParityPosition) {
+          recheck_clean = false;
+        } else {
+          residual_.push_back(word * hamming_k_ + data);
+        }
+      }
+      xor_reduce(residual_);  // e′: what the corrections left flipped
     }
+    // The stored signature is CRC(d) and the check reads CRC(d ⊕ e′), so
+    // they differ exactly when CRC₀(e′) ≠ 0; the recheck reads the same.
     if (use_crc) {
-      const auto check = crc.check(fifo_a);
-      detected = detected || check.any_error();
-      const auto recheck = crc.check(fifo_a);
-      recheck_clean = recheck_clean && !recheck.any_error();
-    }
-    if (!use_hamming && detected) {
-      recheck_clean = false;  // detection-only: nothing was repaired
+      std::uint16_t signature = 0;
+      for (const std::size_t key : residual_) {
+        signature ^= crc_column_[key];
+      }
+      if (signature != 0) {
+        detected = true;
+        recheck_clean = false;
+      }
     }
 
-    // Stage 5: Comparator reads FIFO_A and FIFO_B.
-    const bool matches = fifo_a == fifo_b;
-
-    tally(stats, errors.size(), detected, recheck_clean, matches);
+    // Stage 5: the Comparator matches exactly when nothing stays flipped.
+    tally(stats, errors.size(), detected, recheck_clean, residual_.empty());
   }
   return stats;
 }
@@ -164,10 +242,7 @@ StructuralTestbench::StructuralTestbench(const ValidationConfig& config)
   session_->sim().take_schedule_telemetry();
   injector_ = std::make_unique<ErrorInjector>(
       config_.chain_count, design_->chain_length(), injector_seed(config_));
-  if (config_.mode == InjectionMode::RushModel) {
-    const RushCurrentModel rush(config_.rush);
-    corruption_ = std::make_unique<CorruptionModel>(config_.corruption, rush);
-  }
+  corruption_ = corruption_model_for(config_);
 }
 
 void StructuralTestbench::reseed(std::uint64_t seed) {
@@ -175,10 +250,6 @@ void StructuralTestbench::reseed(std::uint64_t seed) {
   rng_ = Rng(seed);
   injector_ = std::make_unique<ErrorInjector>(
       config_.chain_count, design_->chain_length(), injector_seed(config_));
-  if (config_.mode == InjectionMode::RushModel) {
-    const RushCurrentModel rush(config_.rush);
-    corruption_ = std::make_unique<CorruptionModel>(config_.corruption, rush);
-  }
   // The session constructors perform nothing but a reset (controls low,
   // inputs zero, one settle), so resetting the simulators restores the
   // exact fresh-construction state without recompiling the design. The
@@ -194,20 +265,6 @@ void StructuralTestbench::reseed(std::uint64_t seed) {
     packed_session_->sim().reset();
     packed_session_->sim().invalidate_schedule_state();
   }
-}
-
-std::vector<ErrorLocation> StructuralTestbench::sample_errors() {
-  switch (config_.mode) {
-    case InjectionMode::None:
-      return {};
-    case InjectionMode::SingleRandom:
-      return {injector_->random_single()};
-    case InjectionMode::MultipleBurst:
-      return injector_->clustered_burst(config_.burst_size, config_.burst_spread);
-    case InjectionMode::RushModel:
-      return corruption_->sample(config_.chain_count, design_->chain_length(), rng_);
-  }
-  return {};
 }
 
 ScheduleTelemetry StructuralTestbench::take_telemetry() {
@@ -272,7 +329,8 @@ ValidationStats StructuralTestbench::run_packed(std::size_t count,
     // Stages 3-4: one sleep/wake protocol run, 64 corruption trials.
     std::vector<std::vector<ErrorLocation>> upsets(lanes);
     for (auto& lane_upsets : upsets) {
-      lane_upsets = sample_errors();
+      lane_upsets = sample_errors(config_, design_->chain_length(), *injector_,
+                                  corruption_.get(), rng_);
     }
     const auto outcome = packed_session_->sleep_wake_cycle(upsets, &rng_);
 
@@ -329,7 +387,8 @@ ValidationStats StructuralTestbench::run(std::size_t count, const CancelToken* c
     sim.set_input("wr_en", false);
 
     // Stages 3-4: sleep request, wake, decode/correct.
-    const auto errors = sample_errors();
+    const auto errors = sample_errors(config_, design_->chain_length(), *injector_,
+                                      corruption_.get(), rng_);
     const auto outcome = session_->sleep_wake_cycle(errors, &rng_);
 
     // Stage 5: Comparator reads both FIFOs word by word.

@@ -84,13 +84,24 @@ struct ValidationStats {
   bool operator==(const ValidationStats&) const = default;
 };
 
-/// Behavioral (fast) testbench: runs the full monitoring protocol on chain
-/// data snapshots using the bit-exact behavioral protectors. Equivalent in
-/// outcome to the structural path (proven by the core test suite's
-/// structural-vs-behavioral test) and fast enough for the paper's
-/// million-sequence campaigns.
+/// Behavioral (fast) testbench: the Fig. 8 protocol computed in the
+/// syndrome domain. Hamming and CRC-16 (zero initial value) are linear over
+/// GF(2), so with error pattern e the data cancels out of every verdict:
+/// each word's syndrome, and so its correction, is a function of e alone,
+/// the CRC mismatch is CRC₀ of the residual e′ left after correction, and
+/// the comparator matches exactly when e′ is empty. A sequence therefore
+/// costs O(|e|) lookups into tables built once per testbench (a 16-bit CRC
+/// contribution per (chain, position), a Hamming column per chain and a
+/// syndrome → data-index map), not an encode/decode of the whole fabric.
+/// The RNG still draws (and discards) the chain contents, so every stream
+/// stays where the data-carrying implementation left it and the statistics
+/// are bit-identical to it (the oracle in tests/behavioral_oracle.hpp).
+/// Equivalent in outcome to the structural path (proven by the core test
+/// suite's structural-vs-behavioral test).
 class FastTestbench {
  public:
+  /// Throws retscan::Error unless the chain count divides the flop count
+  /// and is a multiple of the Hamming k (for every CodeKind).
   explicit FastTestbench(const ValidationConfig& config);
 
   const ValidationConfig& config() const { return config_; }
@@ -103,8 +114,8 @@ class FastTestbench {
   /// Rewind to the state of a freshly constructed testbench with the same
   /// shape but `seed`. This is what makes persistent per-thread workspaces
   /// possible: a pooled campaign reseeds a warm testbench per shard instead
-  /// of rebuilding it, with bit-identical results (asserted by
-  /// test_parallel's persistent-workspace case).
+  /// of rebuilding it (the syndrome tables are kept), with bit-identical
+  /// results (asserted by test_parallel's persistent-workspace case).
   void reseed(std::uint64_t seed);
 
   /// Behavioral runs have no gate-level settles; always empty. Kept so the
@@ -116,6 +127,18 @@ class FastTestbench {
   std::size_t chain_length_;
   Rng rng_;
   std::unique_ptr<ErrorInjector> injector_;
+  std::unique_ptr<CorruptionModel> corruption_;  ///< RushModel only
+  std::size_t hamming_k_ = 0;
+  /// Upsets are keyed position * chain_count + chain: a Hamming word
+  /// (group, position) is then the key range [word * k, word * k + k).
+  /// crc_column_[key] is CRC₀ of a lone upset at that key.
+  std::vector<std::uint16_t> crc_column_;
+  /// hamming_column_[chain]: the syndrome a lone upset in that chain raises.
+  std::vector<unsigned> hamming_column_;
+  /// syndrome_data_[s]: the data index syndrome s corrects, or npos when s
+  /// names a parity position.
+  std::vector<std::size_t> syndrome_data_;
+  std::vector<std::size_t> residual_;  ///< per-sequence scratch: e, then e′
 };
 
 /// Structural (cycle-accurate) testbench: FIFO_A is a simulated
@@ -153,8 +176,6 @@ class StructuralTestbench {
   ScheduleTelemetry take_telemetry();
 
  private:
-  std::vector<ErrorLocation> sample_errors();
-
   ValidationConfig config_;
   std::unique_ptr<ProtectedDesign> design_;
   std::unique_ptr<RetentionSession> session_;

@@ -1,5 +1,10 @@
 #include "util/journal.hpp"
 
+#include <fcntl.h>
+#include <unistd.h>
+
+#include <array>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -9,14 +14,27 @@
 
 namespace retscan {
 
+namespace {
+/// crc32 one byte at a time: entry b is the register after shifting the
+/// eight bits of b through the reflected polynomial.
+constexpr std::array<std::uint32_t, 256> kCrc32Table = [] {
+  std::array<std::uint32_t, 256> table{};
+  for (std::uint32_t b = 0; b < 256; ++b) {
+    std::uint32_t crc = b;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
+    }
+    table[b] = crc;
+  }
+  return table;
+}();
+}  // namespace
+
 std::uint32_t crc32(const void* data, std::size_t size) {
   const auto* bytes = static_cast<const unsigned char*>(data);
   std::uint32_t crc = 0xFFFFFFFFu;
   for (std::size_t i = 0; i < size; ++i) {
-    crc ^= bytes[i];
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc >> 1) ^ (0xEDB88320u & (0u - (crc & 1u)));
-    }
+    crc = (crc >> 8) ^ kCrc32Table[(crc ^ bytes[i]) & 0xFFu];
   }
   return crc ^ 0xFFFFFFFFu;
 }
@@ -230,15 +248,27 @@ std::optional<JournalRecord> CampaignJournal::find(
   return records_[it->second];
 }
 
-void CampaignJournal::append(const JournalRecord& record) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  if (index_.emplace(record.shard_index, records_.size()).second) {
-    records_.push_back(record);
+CampaignJournal::~CampaignJournal() {
+  if (fd_ >= 0) {
+    ::close(fd_);
   }
-  flush_locked();
 }
 
-void CampaignJournal::flush_locked() {
+void CampaignJournal::append(const JournalRecord& record) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (!index_.emplace(record.shard_index, records_.size()).second) {
+    return;  // already journaled: the file holds it
+  }
+  records_.push_back(record);
+  const bool short_write = failpoint("journal.flush") == FailAction::ShortWrite;
+  if (fd_ < 0) {
+    rewrite_locked(short_write);
+  } else {
+    append_locked(record, short_write);
+  }
+}
+
+void CampaignJournal::rewrite_locked(bool short_write) {
   std::vector<unsigned char> bytes;
   bytes.reserve(kHeaderBytes + records_.size() * kRecordBytes);
   serialize_header(bytes, header_);
@@ -246,12 +276,16 @@ void CampaignJournal::flush_locked() {
     serialize_record(bytes, record);
   }
   std::size_t write_bytes = bytes.size();
-  if (failpoint("journal.flush") == FailAction::ShortWrite) {
+  if (short_write) {
     // Simulate a torn write: ship a truncated file through the same atomic
     // rename, exactly what a crash mid-write leaves behind.
     write_bytes = kHeaderBytes + (bytes.size() - kHeaderBytes) / 2;
   }
 
+  if (fd_ >= 0) {
+    ::close(fd_);
+    fd_ = -1;
+  }
   const std::string tmp = path_ + ".tmp";
   {
     std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
@@ -265,6 +299,35 @@ void CampaignJournal::flush_locked() {
   if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
     throw Error("checkpoint journal: cannot rename '" + tmp + "' over '" +
                 path_ + "'");
+  }
+  if (short_write) {
+    return;  // fd_ stays closed: the next append rewrites and heals the tail
+  }
+  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
+  if (fd_ < 0) {
+    throw Error("checkpoint journal: cannot reopen '" + path_ +
+                "' for appending: " + std::strerror(errno));
+  }
+}
+
+void CampaignJournal::append_locked(const JournalRecord& record, bool short_write) {
+  std::vector<unsigned char> bytes;
+  bytes.reserve(kRecordBytes);
+  serialize_record(bytes, record);
+  // A torn append is what a crash mid-write leaves behind.
+  const std::size_t write_bytes = short_write ? kRecordBytes / 2 : kRecordBytes;
+  const ssize_t written = ::write(fd_, bytes.data(), write_bytes);
+  if (written == static_cast<ssize_t>(kRecordBytes)) {
+    return;
+  }
+  // The file now ends in a torn record (or the write failed): close the fd
+  // so the next append rewrites the file whole, which heals the tail.
+  const int error = errno;
+  ::close(fd_);
+  fd_ = -1;
+  if (!short_write) {
+    throw Error("checkpoint journal: cannot append to '" + path_ + "': " +
+                (written < 0 ? std::strerror(error) : "short write"));
   }
 }
 

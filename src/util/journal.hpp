@@ -33,14 +33,18 @@ struct JournalRecord {
 ///              | total u64 | shard_size u64 | shard_count u64 | crc32 u32
 ///     record:  shard_index u64 | 8×u64 stats | 6×u64 telemetry | crc32 u32
 ///
-/// Every append rewrites the whole file to `path.tmp` and atomically
-/// renames it over `path`, so a reader (or a resume after SIGKILL) only
-/// ever sees a complete prefix of records — the worst a torn write can do
-/// is truncate the tail, and the loader tolerates exactly that: records
-/// with a bad or missing CRC are dropped (their shards simply rerun).
-/// Campaigns are minutes-to-hours and shards are seconds, so whole-file
-/// rewrites of a few KiB per shard are noise (gated ≤ 1.05 overhead in
-/// ci/check_bench_json.py).
+/// The first append of a run writes the header and every record to
+/// `path.tmp` and atomically renames it over `path` (on resume this also
+/// drops a torn tail left by the last run), then keeps an O_APPEND fd open
+/// on the new file. Every later append is one write() of one CRC'd record,
+/// so an append costs the same with 10 or 10,000 records. A reader (or a
+/// resume after SIGKILL) therefore sees a complete prefix of records, plus
+/// at most one torn record at the end; the loader tolerates exactly that:
+/// records with a bad or missing CRC are dropped (their shards simply
+/// rerun). After a short write the next append rewrites the whole file
+/// again, which heals the torn tail, and the fd is reopened after every
+/// rename. Nothing fsyncs: the journal survives a killed process, not a
+/// power loss.
 ///
 /// The fingerprint (spec + design geometry + library version, computed by
 /// the API layer) and seed bind a journal to one exact campaign; Resume
@@ -59,6 +63,7 @@ class CampaignJournal {
   CampaignJournal(std::string path, std::uint64_t fingerprint,
                   std::uint64_t seed, Mode mode);
 
+  ~CampaignJournal();
   CampaignJournal(const CampaignJournal&) = delete;
   CampaignJournal& operator=(const CampaignJournal&) = delete;
 
@@ -72,8 +77,9 @@ class CampaignJournal {
   /// has not completed. Thread-safe against concurrent append().
   std::optional<JournalRecord> find(std::uint64_t shard_index) const;
 
-  /// Append one completed shard and flush (write-temp + atomic rename).
-  /// Thread-safe. Throws retscan::Error on I/O failure.
+  /// Append one completed shard and flush it to the file (see the class
+  /// comment). A shard already journaled is not written again. Thread-safe.
+  /// Throws retscan::Error on I/O failure.
   void append(const JournalRecord& record);
 
   /// Records loaded from disk by Resume (before any append this run).
@@ -98,7 +104,8 @@ class CampaignJournal {
 
  private:
   void load_existing();
-  void flush_locked();
+  void rewrite_locked(bool short_write);
+  void append_locked(const JournalRecord& record, bool short_write);
 
   std::string path_;
   Header header_;
@@ -107,6 +114,7 @@ class CampaignJournal {
   std::size_t dropped_count_ = 0;
 
   mutable std::mutex mutex_;
+  int fd_ = -1;  ///< O_APPEND fd on `path`; -1 until the next rewrite
   std::vector<JournalRecord> records_;
   std::unordered_map<std::uint64_t, std::size_t> index_;
 };

@@ -290,12 +290,18 @@ TEST(Journal, ResumeRejectsForeignCampaigns) {
   EXPECT_EQ(fresh.resumed_count(), 0u);
 }
 
+TEST(Journal, Crc32MatchesTheZlibCheckValue) {
+  const char check[] = "123456789";
+  EXPECT_EQ(crc32(check, 9), 0xCBF43926u);
+  EXPECT_EQ(crc32(check, 0), 0u);
+}
+
 TEST(Journal, TornTailIsDroppedAndIntactPrefixKept) {
   ScopedJournalPath path("test_durability_torn.journal");
   {
-    // Third flush (the one that persists records 0..2) is cut short halfway
-    // through its record region: record 0 survives, record 1 is torn,
-    // record 2 never hits the disk.
+    // The first flush writes the header and record 0 whole; records 1 and 2
+    // are appended one write() each, and the third flush (record 2's) is cut
+    // short halfway: records 0 and 1 survive, record 2 is torn.
     FailpointGuard arm("journal.flush=shortwrite@3");
     CampaignJournal journal(path.str(), kFingerprint, 42,
                             CampaignJournal::Mode::Truncate);
@@ -308,11 +314,65 @@ TEST(Journal, TornTailIsDroppedAndIntactPrefixKept) {
   CampaignJournal resumed(path.str(), kFingerprint, 42,
                           CampaignJournal::Mode::Resume);
   resumed.bind_plan(1000, 256, 4);
-  EXPECT_EQ(resumed.resumed_count(), 1u);
+  EXPECT_EQ(resumed.resumed_count(), 2u);
   EXPECT_EQ(resumed.dropped_count(), 1u);
   EXPECT_TRUE(resumed.find(0).has_value());
-  EXPECT_FALSE(resumed.find(1).has_value());
+  EXPECT_TRUE(resumed.find(1).has_value());
   EXPECT_FALSE(resumed.find(2).has_value());
+}
+
+TEST(Journal, AppendAfterAShortWriteHealsTheTornTail) {
+  ScopedJournalPath path("test_durability_heal.journal");
+  {
+    // Record 1's append is torn; record 2's append rewrites the whole file,
+    // so the torn bytes are gone and every record is on disk.
+    FailpointGuard arm("journal.flush=shortwrite@2");
+    CampaignJournal journal(path.str(), kFingerprint, 42,
+                            CampaignJournal::Mode::Truncate);
+    journal.bind_plan(1000, 256, 4);
+    journal.append(make_record(0));
+    journal.append(make_record(1));
+    journal.append(make_record(2));
+    journal.append(make_record(3));
+  }
+  FailpointGuard off("");
+  CampaignJournal resumed(path.str(), kFingerprint, 42,
+                          CampaignJournal::Mode::Resume);
+  resumed.bind_plan(1000, 256, 4);
+  EXPECT_EQ(resumed.resumed_count(), 4u);
+  EXPECT_EQ(resumed.dropped_count(), 0u);
+  for (std::uint64_t shard = 0; shard < 4; ++shard) {
+    const std::optional<JournalRecord> record = resumed.find(shard);
+    ASSERT_TRUE(record.has_value());
+    EXPECT_EQ(record->stats[0], make_record(shard).stats[0]);
+  }
+}
+
+TEST(Journal, ResumedJournalKeepsAppending) {
+  ScopedJournalPath path("test_durability_reappend.journal");
+  {
+    FailpointGuard off("");
+    CampaignJournal journal(path.str(), kFingerprint, 42,
+                            CampaignJournal::Mode::Truncate);
+    journal.bind_plan(1000, 256, 4);
+    journal.append(make_record(0));
+    journal.append(make_record(1));
+  }
+  {
+    FailpointGuard off("");
+    CampaignJournal journal(path.str(), kFingerprint, 42,
+                            CampaignJournal::Mode::Resume);
+    journal.bind_plan(1000, 256, 4);
+    EXPECT_EQ(journal.resumed_count(), 2u);
+    journal.append(make_record(2));
+    journal.append(make_record(3));
+  }
+  FailpointGuard off("");
+  CampaignJournal resumed(path.str(), kFingerprint, 42,
+                          CampaignJournal::Mode::Resume);
+  resumed.bind_plan(1000, 256, 4);
+  EXPECT_EQ(resumed.resumed_count(), 4u);
+  EXPECT_EQ(resumed.dropped_count(), 0u);
 }
 
 // --- Campaign-layer cancellation, deadlines, resume -------------------------

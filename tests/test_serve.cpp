@@ -681,15 +681,18 @@ TEST(ServeJobManager, CancelStopsARunningCoverageJob) {
   {
     ServeOptions options;
     options.max_active = 1;
+    options.threads = 1;  // one shard at a time: shards remain at the cancel
     JobManager manager(options);
     const std::uint64_t id = manager.submit(coverage_spec(), {});
-    manager.wait(id, [](const JobRecord& now) { return now.state == JobState::Queued; });
+    // Cancel mid-run: wait until at least one shard has completed.
+    manager.wait(id, [](const JobRecord& now) { return now.shards_done == 0; });
     EXPECT_TRUE(manager.cancel(id));
     const auto record = manager.wait(id);
     ASSERT_TRUE(record.has_value());
     EXPECT_EQ(record->state, JobState::Cancelled) << record->error;
     ASSERT_TRUE(record->summary.has_value());
     EXPECT_EQ(record->summary->status, "cancelled");
+    EXPECT_GE(record->summary->shards_completed, 1u);
     EXPECT_LT(record->summary->shards_completed, record->summary->shard_count);
     EXPECT_FALSE(record->summary->passed);
   }
@@ -711,12 +714,14 @@ TEST(ServeJobManager, CancelStopsARunningReferenceJob) {
   {
     ServeOptions options;
     options.max_active = 1;
+    options.threads = 1;  // one shard at a time: shards remain at the cancel
     JobManager manager(options);
     SubmitOverrides reference;
     reference.backend = "reference";
     reference.sequences = 40960;  // 10 behavioral shards
     const std::uint64_t id = manager.submit(validation_spec(), reference);
-    manager.wait(id, [](const JobRecord& now) { return now.state == JobState::Queued; });
+    // Cancel mid-run: wait until at least one shard has completed.
+    manager.wait(id, [](const JobRecord& now) { return now.shards_done == 0; });
     EXPECT_TRUE(manager.cancel(id));
     const auto record = manager.wait(id);
     ASSERT_TRUE(record.has_value());
@@ -724,6 +729,7 @@ TEST(ServeJobManager, CancelStopsARunningReferenceJob) {
     ASSERT_TRUE(record->summary.has_value());
     EXPECT_EQ(record->summary->status, "cancelled");
     EXPECT_EQ(record->summary->backend, "reference");
+    EXPECT_GE(record->summary->shards_completed, 1u);
     EXPECT_LT(record->summary->shards_completed, record->summary->shard_count);
     EXPECT_FALSE(record->summary->passed);
   }
