@@ -159,9 +159,9 @@ int main() {
     std::vector<double> durable_times;
     const perfbench::Summary overhead = perfbench::interleaved_ratio(
         [&] {
-          // Journal construction, the first flush's atomic rename and
-          // every per-shard append are all inside the timed region — the
-          // full durability tax.
+          // Journal construction, creating and mapping the sized file at
+          // bind time and every per-shard slot copy are all inside the
+          // timed region — the full durability tax.
           std::remove(path.c_str());
           CampaignJournal journal(path, /*fingerprint=*/1, single.seed,
                                   CampaignJournal::Mode::Truncate);

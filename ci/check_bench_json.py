@@ -161,9 +161,10 @@ def conditional_ceilings(name, report):
     del report
     ceilings = []
     if name == "validation":
-        # Checkpointing a campaign (one O_APPEND record write per shard,
-        # after one atomic rename on the first) must cost at most 5% wall clock over the identical plain
-        # campaign — durability is supposed to be noise, not a tax.
+        # Checkpointing a campaign (one slot copy into the mapped journal
+        # per shard, after one sized file creation at bind time) must cost
+        # at most 5% wall clock over the identical plain campaign —
+        # durability is supposed to be noise, not a tax.
         ceilings.append(("checkpoint_overhead", 1.05, "journal append per shard"))
     return ceilings
 

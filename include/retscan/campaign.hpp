@@ -100,7 +100,8 @@ struct CampaignSpec {
   /// atpg.seed so one knob controls the whole run).
   std::uint64_t seed = 1;
   /// Worker threads, on every backend; 0 → the session's pool
-  /// (RETSCAN_THREADS / hardware_concurrency).
+  /// (RETSCAN_THREADS / hardware_concurrency). A `retscan serve` job must
+  /// leave it 0 or name the daemon's pool size; the job fails otherwise.
   unsigned threads = 0;
   /// Trials, fault-list entries or patterns per pool shard, on every
   /// backend; 0 → the kind's default (behavioral validation: 4096 trials;
@@ -142,10 +143,11 @@ struct CampaignSpec {
 
   // --- Durability (deadline: every kind; checkpoint: validation) -------
   /// Checkpoint journal path (`checkpoint =` spec key / `--checkpoint`):
-  /// completed shards are appended as fixed-format CRC'd records (one
-  /// write() each, after a write-temp-then-atomic-rename on the run's first),
-  /// so an interrupted campaign loses at most the shards in flight. Empty = no checkpointing. Validation
-  /// kinds only, any backend (campaign_fingerprint binds Reference's own).
+  /// the file is created once, sized to one CRC'd record slot per shard,
+  /// and mapped; each completed shard is copied into its own slot (no
+  /// system call), so an interrupted campaign loses at most the shards in
+  /// flight. Empty = no checkpointing. Validation kinds only, any backend
+  /// (campaign_fingerprint binds Reference's own).
   std::string checkpoint;
   /// Resume from `checkpoint` (`resume =` / `--resume`): the journal
   /// header is validated against the current spec/design/version

@@ -21,6 +21,8 @@ struct FifoSpec {
   std::size_t counter_bits() const;
   /// Total flip-flop count: depth*width storage + 2 pointers + counter.
   std::size_t flop_count() const;
+
+  bool operator==(const FifoSpec&) const = default;
 };
 
 /// Build the gate-level synchronous FIFO.

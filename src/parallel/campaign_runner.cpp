@@ -16,24 +16,11 @@ namespace {
 
 /// True when two campaign configurations differ only in seed — the
 /// condition under which a warm testbench can be reseeded instead of
-/// rebuilt. Every shape-defining field is compared explicitly; the seed is
-/// deliberately excluded (reseeding per shard is the whole point).
-bool same_campaign_shape(const ValidationConfig& a, const ValidationConfig& b) {
-  return a.fifo.depth == b.fifo.depth && a.fifo.width == b.fifo.width &&
-         a.chain_count == b.chain_count && a.kind == b.kind &&
-         a.schedule == b.schedule &&
-         a.hamming_r == b.hamming_r && a.mode == b.mode &&
-         a.burst_size == b.burst_size && a.burst_spread == b.burst_spread &&
-         a.corruption.noise_margin_volts == b.corruption.noise_margin_volts &&
-         a.corruption.margin_sigma_volts == b.corruption.margin_sigma_volts &&
-         a.corruption.vulnerability == b.corruption.vulnerability &&
-         a.corruption.cluster_spread == b.corruption.cluster_spread &&
-         a.corruption.cluster_fraction == b.corruption.cluster_fraction &&
-         a.rush.vdd_volts == b.rush.vdd_volts &&
-         a.rush.resistance_ohm == b.rush.resistance_ohm &&
-         a.rush.inductance_nh == b.rush.inductance_nh &&
-         a.rush.capacitance_nf == b.rush.capacitance_nf &&
-         a.rush.stagger_stages == b.rush.stagger_stages;
+/// rebuilt (reseeding per shard is the whole point). Every other field
+/// counts, through the defaulted operator==.
+bool same_campaign_shape(ValidationConfig a, const ValidationConfig& b) {
+  a.seed = b.seed;
+  return a == b;
 }
 
 }  // namespace

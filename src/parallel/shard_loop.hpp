@@ -53,11 +53,11 @@ struct RunControls {
   /// skips unstarted shards and stops those in flight (completed shards
   /// still merge — partial statistics).
   const CancelToken* cancel = nullptr;
-  /// Checkpoint journal: completed shards are appended (and flushed) as
-  /// they finish; shards already in the journal are merged from it instead
-  /// of rerun. Shard-order determinism makes the merge bit-exact. Only a
-  /// loop given a ShardCodec journals; validate() refuses a checkpoint on
-  /// the kinds without one.
+  /// Checkpoint journal: completed shards are copied into their journal
+  /// slots as they finish; shards already in the journal are merged from
+  /// it instead of rerun. Shard-order determinism makes the merge
+  /// bit-exact. Only a loop given a ShardCodec journals; validate()
+  /// refuses a checkpoint on the kinds without one.
   CampaignJournal* journal = nullptr;
   /// Progress observer, called after each shard completes (run or resumed
   /// — never for cancel-skipped shards) with (shards_done, shard_count).

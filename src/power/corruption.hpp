@@ -26,6 +26,8 @@ struct CorruptionParameters {
   /// Probability that an upset joins the cluster rather than landing
   /// uniformly (the paper observed multiple errors "closely clustered").
   double cluster_fraction = 0.9;
+
+  bool operator==(const CorruptionParameters&) const = default;
 };
 
 /// Samples which retention latches flip at wake-up, given the electrical

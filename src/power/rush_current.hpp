@@ -19,6 +19,8 @@ struct RushParameters {
   /// once (worst rush); larger values model the staggered/daisy-chained
   /// activation of refs [7, 8], which divides the current peak.
   std::size_t stagger_stages = 1;
+
+  bool operator==(const RushParameters&) const = default;
 };
 
 /// Step response of the series RLC wake-up circuit (the model the paper

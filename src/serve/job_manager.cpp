@@ -222,6 +222,17 @@ void JobManager::execute(Job& job) {
   try {
     SpecFile file = load_spec_file(job.record.spec_path);
     apply_overrides(file, job.overrides);
+    // Every job runs on the one shared pool, so a thread count other than
+    // "the pool" could only be ignored.
+    const unsigned pool = runner_.threads();
+    if (file.campaign.threads != 0 && file.campaign.threads != pool) {
+      throw Error("threads = " + std::to_string(file.campaign.threads) +
+                  " does not match the daemon's pool of " + std::to_string(pool) +
+                  " thread(s); every job runs on that pool — submit threads = 0 "
+                  "(or " + std::to_string(pool) + "), or restart the daemon with "
+                  "`retscan serve --threads " + std::to_string(file.campaign.threads) +
+                  "`");
+    }
     key = session_key(file);
     session = sessions_.checkout(key);
     const bool reused = session != nullptr;

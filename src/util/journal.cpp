@@ -1,13 +1,18 @@
 #include "util/journal.hpp"
 
 #include <fcntl.h>
+#include <sys/mman.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
+#include <type_traits>
 
 #include "util/error.hpp"
 #include "util/failpoint.hpp"
@@ -42,89 +47,67 @@ std::uint32_t crc32(const void* data, std::size_t size) {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x4A435352u;  // "RSCJ"
-constexpr std::uint32_t kFormat = 1;
+constexpr std::uint32_t kFormat = 2;
 
 /// Serialized sizes: fixed-width fields, no padding, host endianness (a
 /// journal is a local crash-recovery artifact, not an interchange format).
-constexpr std::size_t kHeaderBytes = 4 + 4 + 5 * 8 + 4;
-constexpr std::size_t kRecordBytes =
-    8 + (JournalRecord::kStatsWords + JournalRecord::kTelemetryWords) * 8 + 4;
+/// The header's five words and a slot's record are their structs' bytes.
+constexpr std::size_t kHeaderBytes = 4 + 4 + sizeof(CampaignJournal::Header) + 4;
+constexpr std::size_t kRecordBytes = sizeof(JournalRecord) + 4;
+static_assert(std::is_trivially_copyable_v<CampaignJournal::Header> &&
+              std::is_trivially_copyable_v<JournalRecord> &&
+              sizeof(CampaignJournal::Header) == 5 * 8 &&
+              sizeof(JournalRecord) ==
+                  (1 + JournalRecord::kStatsWords + JournalRecord::kTelemetryWords) * 8);
 
-void put_u32(std::vector<unsigned char>& out, std::uint32_t value) {
-  const std::size_t at = out.size();
-  out.resize(at + 4);
-  std::memcpy(out.data() + at, &value, 4);
-}
-
-void put_u64(std::vector<unsigned char>& out, std::uint64_t value) {
-  const std::size_t at = out.size();
-  out.resize(at + 8);
-  std::memcpy(out.data() + at, &value, 8);
-}
-
-std::uint32_t get_u32(const unsigned char* in) {
-  std::uint32_t value;
-  std::memcpy(&value, in, 4);
+template <typename Word>
+Word load(const unsigned char* in) {
+  Word value{};
+  std::memcpy(&value, in, sizeof(Word));
   return value;
 }
 
-std::uint64_t get_u64(const unsigned char* in) {
-  std::uint64_t value;
-  std::memcpy(&value, in, 8);
-  return value;
+void store_u32(unsigned char* out, std::uint32_t value) {
+  std::memcpy(out, &value, 4);
 }
 
-void serialize_header(std::vector<unsigned char>& out,
-                      const CampaignJournal::Header& header) {
-  const std::size_t start = out.size();
-  put_u32(out, kMagic);
-  put_u32(out, kFormat);
-  put_u64(out, header.fingerprint);
-  put_u64(out, header.seed);
-  put_u64(out, header.total);
-  put_u64(out, header.shard_size);
-  put_u64(out, header.shard_count);
-  put_u32(out, crc32(out.data() + start, kHeaderBytes - 4));
+/// True when slot `bytes` hold shard `shard_index`'s record whole: the
+/// stored index is the slot's own and the CRC holds. A zeroed (never
+/// written) or torn slot fails.
+bool holds_record(const unsigned char* bytes, std::uint64_t shard_index) {
+  return load<std::uint64_t>(bytes) == shard_index &&
+         load<std::uint32_t>(bytes + kRecordBytes - 4) ==
+             crc32(bytes, kRecordBytes - 4);
 }
 
-void serialize_record(std::vector<unsigned char>& out,
-                      const JournalRecord& record) {
-  const std::size_t start = out.size();
-  put_u64(out, record.shard_index);
-  for (const std::uint64_t word : record.stats) {
-    put_u64(out, word);
+/// An open file descriptor, closed when it goes out of scope (a mapping
+/// outlives it).
+class Fd {
+ public:
+  explicit Fd(int fd) : fd_(fd) {}
+  ~Fd() {
+    if (fd_ >= 0) {
+      ::close(fd_);
+    }
   }
-  for (const std::uint64_t word : record.telemetry) {
-    put_u64(out, word);
-  }
-  put_u32(out, crc32(out.data() + start, kRecordBytes - 4));
-}
+  Fd(const Fd&) = delete;
+  Fd& operator=(const Fd&) = delete;
+  int get() const { return fd_; }
 
-/// Header bytes → Header; false on bad magic/format/CRC (torn or foreign
-/// file — callers treat that as "no usable journal").
-bool parse_header(const unsigned char* bytes, std::size_t size,
-                  CampaignJournal::Header& out) {
-  if (size < kHeaderBytes || get_u32(bytes) != kMagic ||
-      get_u32(bytes + 4) != kFormat ||
-      get_u32(bytes + kHeaderBytes - 4) != crc32(bytes, kHeaderBytes - 4)) {
-    return false;
-  }
-  out.fingerprint = get_u64(bytes + 8);
-  out.seed = get_u64(bytes + 16);
-  out.total = get_u64(bytes + 24);
-  out.shard_size = get_u64(bytes + 32);
-  out.shard_count = get_u64(bytes + 40);
-  return true;
-}
+ private:
+  int fd_;
+};
 
-bool read_file(const std::string& path, std::vector<unsigned char>& out) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    return false;
+/// Map `bytes` of `fd` read-write and shared, so stores land in the file's
+/// own pages.
+unsigned char* map_shared(const Fd& fd, std::size_t bytes, const std::string& path) {
+  void* const map =
+      ::mmap(nullptr, bytes, PROT_READ | PROT_WRITE, MAP_SHARED, fd.get(), 0);
+  if (map == MAP_FAILED) {
+    throw Error("checkpoint journal: cannot map '" + path + "': " +
+                std::strerror(errno));
   }
-  out.assign(std::istreambuf_iterator<char>(in),
-             std::istreambuf_iterator<char>());
-  return true;
+  return static_cast<unsigned char*>(map);
 }
 
 std::string hex(std::uint64_t value) {
@@ -148,66 +131,71 @@ CampaignJournal::CampaignJournal(std::string path, std::uint64_t fingerprint,
   }
 }
 
+CampaignJournal::~CampaignJournal() {
+  if (map_ != nullptr) {
+    ::munmap(map_, map_bytes_);
+  }
+}
+
 void CampaignJournal::load_existing() {
   failpoint("journal.load");
-  std::vector<unsigned char> bytes;
-  if (!read_file(path_, bytes)) {
+  if (::access(path_.c_str(), F_OK) != 0) {
     return;  // no journal yet — resume degenerates to a fresh run
   }
-  Header loaded;
-  if (!parse_header(bytes.data(), bytes.size(), loaded)) {
+  const auto ignore = [&] {
     std::fprintf(stderr,
                  "retscan: warning: checkpoint journal '%s' has a torn or "
                  "foreign header — ignoring it and starting fresh\n",
                  path_.c_str());
+  };
+  const std::optional<Header> loaded = peek(path_);
+  if (!loaded) {
+    ignore();
     return;
   }
-  if (loaded.fingerprint != header_.fingerprint) {
+  if (loaded->fingerprint != header_.fingerprint) {
     throw Error("checkpoint journal '" + path_ +
                 "' was written by a different campaign, design or library "
-                "version (journal fingerprint " + hex(loaded.fingerprint) +
+                "version (journal fingerprint " + hex(loaded->fingerprint) +
                 ", current " + hex(header_.fingerprint) +
                 ") — rerun without --resume to discard it, or restore the "
                 "original spec/netlist");
   }
-  if (loaded.seed != header_.seed) {
+  if (loaded->seed != header_.seed) {
     throw Error("checkpoint journal '" + path_ + "' was written with seed " +
-                std::to_string(loaded.seed) + ", not the current seed " +
+                std::to_string(loaded->seed) + ", not the current seed " +
                 std::to_string(header_.seed) +
                 " — resumed shards are only bit-exact under the original "
                 "seed; rerun without --resume to discard it");
   }
-  header_ = loaded;
-  plan_bound_ = header_.total != 0;
-
-  std::size_t offset = kHeaderBytes;
-  while (offset + kRecordBytes <= bytes.size()) {
-    const unsigned char* record_bytes = bytes.data() + offset;
-    if (get_u32(record_bytes + kRecordBytes - 4) !=
-        crc32(record_bytes, kRecordBytes - 4)) {
-      break;  // torn write: keep the valid prefix, rerun the rest
-    }
-    JournalRecord record;
-    record.shard_index = get_u64(record_bytes);
-    for (std::size_t i = 0; i < JournalRecord::kStatsWords; ++i) {
-      record.stats[i] = get_u64(record_bytes + 8 + i * 8);
-    }
-    for (std::size_t i = 0; i < JournalRecord::kTelemetryWords; ++i) {
-      record.telemetry[i] =
-          get_u64(record_bytes + 8 + (JournalRecord::kStatsWords + i) * 8);
-    }
-    if (index_.emplace(record.shard_index, records_.size()).second) {
-      records_.push_back(record);
-    }
-    offset += kRecordBytes;
+  // The file must hold exactly the header's plan; dividing, rather than
+  // multiplying shard_count out, keeps a huge count from wrapping.
+  const Fd fd(::open(path_.c_str(), O_RDWR | O_CLOEXEC));
+  struct stat status {};
+  if (fd.get() < 0 || ::fstat(fd.get(), &status) != 0 ||
+      status.st_size < static_cast<off_t>(kHeaderBytes) ||
+      (status.st_size - kHeaderBytes) % kRecordBytes != 0 ||
+      (status.st_size - kHeaderBytes) / kRecordBytes != loaded->shard_count) {
+    ignore();
+    return;
   }
-  resumed_count_ = records_.size();
-  const std::size_t tail = bytes.size() - offset;
-  if (tail != 0) {
-    dropped_count_ = (tail + kRecordBytes - 1) / kRecordBytes;
+  map_bytes_ = static_cast<std::size_t>(status.st_size);
+  map_ = map_shared(fd, map_bytes_, path_);
+  header_ = *loaded;
+
+  for (std::uint64_t shard = 0; shard < header_.shard_count; ++shard) {
+    const unsigned char* const bytes = slot(shard);
+    if (holds_record(bytes, shard)) {
+      ++resumed_count_;
+    } else if (std::any_of(bytes, bytes + kRecordBytes,
+                           [](unsigned char byte) { return byte != 0; })) {
+      ++dropped_count_;
+    }
+  }
+  if (dropped_count_ != 0) {
     std::fprintf(stderr,
-                 "retscan: warning: checkpoint journal '%s' ends in a torn "
-                 "write — kept %zu record(s), dropped %zu (those shards "
+                 "retscan: warning: checkpoint journal '%s' has torn record "
+                 "slots — kept %zu record(s), dropped %zu (those shards "
                  "rerun)\n",
                  path_.c_str(), resumed_count_, dropped_count_);
   }
@@ -216,7 +204,7 @@ void CampaignJournal::load_existing() {
 void CampaignJournal::bind_plan(std::uint64_t total, std::uint64_t shard_size,
                                 std::uint64_t shard_count) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (plan_bound_) {
+  if (map_ != nullptr) {
     if (header_.total != total || header_.shard_size != shard_size ||
         header_.shard_count != shard_count) {
       throw Error("checkpoint journal '" + path_ + "' was written for " +
@@ -235,111 +223,88 @@ void CampaignJournal::bind_plan(std::uint64_t total, std::uint64_t shard_size,
   header_.total = total;
   header_.shard_size = shard_size;
   header_.shard_count = shard_count;
-  plan_bound_ = true;
+
+  if (shard_count > (std::numeric_limits<off_t>::max() - kHeaderBytes) / kRecordBytes) {
+    throw Error("checkpoint journal '" + path_ + "': " +
+                std::to_string(shard_count) + " shards do not fit in one file");
+  }
+  const std::string tmp = path_ + ".tmp";
+  const std::size_t bytes = kHeaderBytes + shard_count * kRecordBytes;
+  const Fd fd(::open(tmp.c_str(), O_RDWR | O_CREAT | O_TRUNC | O_CLOEXEC, 0644));
+  if (fd.get() < 0) {
+    throw Error("checkpoint journal: cannot create '" + tmp +
+                "' — check the directory exists and is writable");
+  }
+  // Zero-filled, so every slot starts empty.
+  if (const int error = ::posix_fallocate(fd.get(), 0, static_cast<off_t>(bytes));
+      error != 0) {
+    std::remove(tmp.c_str());
+    throw Error("checkpoint journal: cannot reserve " + std::to_string(bytes) +
+                " bytes for '" + tmp + "': " + std::strerror(error));
+  }
+  unsigned char* const map = map_shared(fd, bytes, tmp);
+  store_u32(map, kMagic);
+  store_u32(map + 4, kFormat);
+  std::memcpy(map + 8, &header_, sizeof(Header));
+  store_u32(map + kHeaderBytes - 4, crc32(map, kHeaderBytes - 4));
+  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
+    ::munmap(map, bytes);
+    std::remove(tmp.c_str());
+    throw Error("checkpoint journal: cannot rename '" + tmp + "' over '" +
+                path_ + "'");
+  }
+  map_ = map;
+  map_bytes_ = bytes;
+}
+
+unsigned char* CampaignJournal::slot(std::uint64_t shard_index) const {
+  if (map_ == nullptr || shard_index >= header_.shard_count) {
+    return nullptr;
+  }
+  return map_ + kHeaderBytes + shard_index * kRecordBytes;
 }
 
 std::optional<JournalRecord> CampaignJournal::find(
     std::uint64_t shard_index) const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  const auto it = index_.find(shard_index);
-  if (it == index_.end()) {
+  const unsigned char* const bytes = slot(shard_index);
+  if (bytes == nullptr || !holds_record(bytes, shard_index)) {
     return std::nullopt;
   }
-  return records_[it->second];
-}
-
-CampaignJournal::~CampaignJournal() {
-  if (fd_ >= 0) {
-    ::close(fd_);
-  }
+  return load<JournalRecord>(bytes);
 }
 
 void CampaignJournal::append(const JournalRecord& record) {
   const std::lock_guard<std::mutex> lock(mutex_);
-  if (!index_.emplace(record.shard_index, records_.size()).second) {
-    return;  // already journaled: the file holds it
+  unsigned char* const bytes = slot(record.shard_index);
+  if (bytes == nullptr) {
+    throw Error("checkpoint journal '" + path_ + "': shard " +
+                std::to_string(record.shard_index) +
+                " is outside the bound plan of " +
+                std::to_string(map_ == nullptr ? 0 : header_.shard_count) +
+                " shard(s)");
   }
-  records_.push_back(record);
+  if (holds_record(bytes, record.shard_index)) {
+    return;  // already journaled
+  }
+  unsigned char encoded[kRecordBytes];
+  std::memcpy(encoded, &record, sizeof(JournalRecord));
+  store_u32(encoded + sizeof(JournalRecord), crc32(encoded, sizeof(JournalRecord)));
+  // A torn slot is what a kill mid-copy leaves behind.
   const bool short_write = failpoint("journal.flush") == FailAction::ShortWrite;
-  if (fd_ < 0) {
-    rewrite_locked(short_write);
-  } else {
-    append_locked(record, short_write);
-  }
-}
-
-void CampaignJournal::rewrite_locked(bool short_write) {
-  std::vector<unsigned char> bytes;
-  bytes.reserve(kHeaderBytes + records_.size() * kRecordBytes);
-  serialize_header(bytes, header_);
-  for (const JournalRecord& record : records_) {
-    serialize_record(bytes, record);
-  }
-  std::size_t write_bytes = bytes.size();
-  if (short_write) {
-    // Simulate a torn write: ship a truncated file through the same atomic
-    // rename, exactly what a crash mid-write leaves behind.
-    write_bytes = kHeaderBytes + (bytes.size() - kHeaderBytes) / 2;
-  }
-
-  if (fd_ >= 0) {
-    ::close(fd_);
-    fd_ = -1;
-  }
-  const std::string tmp = path_ + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out ||
-        !out.write(reinterpret_cast<const char*>(bytes.data()),
-                   static_cast<std::streamsize>(write_bytes))) {
-      throw Error("checkpoint journal: cannot write '" + tmp +
-                  "' — check the directory exists and is writable");
-    }
-  }
-  if (std::rename(tmp.c_str(), path_.c_str()) != 0) {
-    throw Error("checkpoint journal: cannot rename '" + tmp + "' over '" +
-                path_ + "'");
-  }
-  if (short_write) {
-    return;  // fd_ stays closed: the next append rewrites and heals the tail
-  }
-  fd_ = ::open(path_.c_str(), O_WRONLY | O_APPEND | O_CLOEXEC);
-  if (fd_ < 0) {
-    throw Error("checkpoint journal: cannot reopen '" + path_ +
-                "' for appending: " + std::strerror(errno));
-  }
-}
-
-void CampaignJournal::append_locked(const JournalRecord& record, bool short_write) {
-  std::vector<unsigned char> bytes;
-  bytes.reserve(kRecordBytes);
-  serialize_record(bytes, record);
-  // A torn append is what a crash mid-write leaves behind.
-  const std::size_t write_bytes = short_write ? kRecordBytes / 2 : kRecordBytes;
-  const ssize_t written = ::write(fd_, bytes.data(), write_bytes);
-  if (written == static_cast<ssize_t>(kRecordBytes)) {
-    return;
-  }
-  // The file now ends in a torn record (or the write failed): close the fd
-  // so the next append rewrites the file whole, which heals the tail.
-  const int error = errno;
-  ::close(fd_);
-  fd_ = -1;
-  if (!short_write) {
-    throw Error("checkpoint journal: cannot append to '" + path_ + "': " +
-                (written < 0 ? std::strerror(error) : "short write"));
-  }
+  std::memcpy(bytes, encoded, short_write ? kRecordBytes / 2 : kRecordBytes);
 }
 
 std::optional<CampaignJournal::Header> CampaignJournal::peek(
     const std::string& path) {
-  std::vector<unsigned char> bytes;
-  Header header;
-  if (!read_file(path, bytes) ||
-      !parse_header(bytes.data(), bytes.size(), header)) {
-    return std::nullopt;
+  unsigned char bytes[kHeaderBytes];
+  std::ifstream in(path, std::ios::binary);
+  if (!in.read(reinterpret_cast<char*>(bytes), kHeaderBytes) ||
+      load<std::uint32_t>(bytes) != kMagic || load<std::uint32_t>(bytes + 4) != kFormat ||
+      load<std::uint32_t>(bytes + kHeaderBytes - 4) != crc32(bytes, kHeaderBytes - 4)) {
+    return std::nullopt;  // missing, torn, foreign or older-format file
   }
-  return header;
+  return load<Header>(bytes + 8);
 }
 
 }  // namespace retscan

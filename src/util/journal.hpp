@@ -5,8 +5,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
 
 namespace retscan {
 
@@ -25,26 +23,28 @@ struct JournalRecord {
   std::uint64_t telemetry[kTelemetryWords] = {};
 };
 
-/// Crash-safe campaign checkpoint journal.
+/// Crash-safe campaign checkpoint journal: one fixed record slot per shard
+/// of the bound plan, in a file mapped MAP_SHARED.
 ///
 /// On-disk format (host-endian, fixed-width little structs):
 ///
 ///     header:  magic 'RSCJ' u32 | format u32 | fingerprint u64 | seed u64
 ///              | total u64 | shard_size u64 | shard_count u64 | crc32 u32
-///     record:  shard_index u64 | 8×u64 stats | 6×u64 telemetry | crc32 u32
+///     slot i:  shard_index u64 | 8×u64 stats | 6×u64 telemetry | crc32 u32
 ///
-/// The first append of a run writes the header and every record to
-/// `path.tmp` and atomically renames it over `path` (on resume this also
-/// drops a torn tail left by the last run), then keeps an O_APPEND fd open
-/// on the new file. Every later append is one write() of one CRC'd record,
-/// so an append costs the same with 10 or 10,000 records. A reader (or a
-/// resume after SIGKILL) therefore sees a complete prefix of records, plus
-/// at most one torn record at the end; the loader tolerates exactly that:
-/// records with a bad or missing CRC are dropped (their shards simply
-/// rerun). After a short write the next append rewrites the whole file
-/// again, which heals the torn tail, and the fd is reopened after every
-/// rename. Nothing fsyncs: the journal survives a killed process, not a
-/// power loss.
+/// Slot i sits at kHeaderBytes + i × kRecordBytes. bind_plan creates the
+/// file once, through `path.tmp` and an atomic rename, with the header and
+/// every slot zeroed; posix_fallocate reserves the whole file up front, so
+/// a full disk is an Error before the first shard, not a SIGBUS mid-run.
+/// An append is a memcpy into its shard's slot — no system call — and the
+/// dirty pages belong to the file, so they survive a killed process. A slot
+/// counts only when its CRC holds and its stored shard_index is its own
+/// index; anything else (never written, or torn by a kill mid-copy) simply
+/// reruns, and a torn slot hides no other. Nothing fsyncs: the journal
+/// survives a killed process, not a power loss.
+///
+/// The mapping is the only copy of the journaled outcomes: find() reads the
+/// slot straight from it.
 ///
 /// The fingerprint (spec + design geometry + library version, computed by
 /// the API layer) and seed bind a journal to one exact campaign; Resume
@@ -54,7 +54,7 @@ class CampaignJournal {
  public:
   enum class Mode {
     Truncate, ///< start fresh, discarding any existing file at `path`
-    Resume,   ///< load existing records; validate header against args
+    Resume,   ///< map the existing file; validate header against args
   };
 
   /// Opens (Resume) or resets (Truncate) the journal. Resume with no file
@@ -67,32 +67,35 @@ class CampaignJournal {
   CampaignJournal(const CampaignJournal&) = delete;
   CampaignJournal& operator=(const CampaignJournal&) = delete;
 
-  /// Bind the shard plan before the first append/find. On resume, rejects a
-  /// journal written under a different (total, shard_size) plan — resumed
-  /// records are only bit-exact under the identical shard decomposition.
+  /// Bind the shard plan before the first append/find: creates and maps the
+  /// file unless Resume already mapped one. On resume, rejects a journal
+  /// written under a different (total, shard_size) plan — resumed records
+  /// are only bit-exact under the identical shard decomposition. Throws
+  /// retscan::Error when the file cannot be created, sized or mapped.
   void bind_plan(std::uint64_t total, std::uint64_t shard_size,
                  std::uint64_t shard_count);
 
-  /// The journaled outcome of shard `shard_index`, or nullptr if that shard
+  /// The journaled outcome of shard `shard_index`, or nullopt if that shard
   /// has not completed. Thread-safe against concurrent append().
   std::optional<JournalRecord> find(std::uint64_t shard_index) const;
 
-  /// Append one completed shard and flush it to the file (see the class
-  /// comment). A shard already journaled is not written again. Thread-safe.
-  /// Throws retscan::Error on I/O failure.
+  /// Copy one completed shard into its slot (see the class comment). A
+  /// shard already journaled is not written again. Thread-safe. Throws
+  /// retscan::Error when `record.shard_index` is outside the bound plan.
   void append(const JournalRecord& record);
 
-  /// Records loaded from disk by Resume (before any append this run).
+  /// Valid slots found by Resume (before any append this run).
   std::size_t resumed_count() const { return resumed_count_; }
-  /// Records dropped on load because of a short write / bad CRC.
+  /// Written but invalid slots found by Resume (torn copy / bad CRC).
   std::size_t dropped_count() const { return dropped_count_; }
 
   const std::string& path() const { return path_; }
 
   /// Read just the header of an existing journal — what validate() uses to
   /// reject a --resume against the wrong spec before any work starts.
-  /// nullopt when the file is missing or its header is torn/corrupt (both
-  /// mean "no usable journal", not an error).
+  /// nullopt when the file is missing or its header is torn, corrupt or of
+  /// an older format (all mean "no usable journal", not an error). The
+  /// struct's five words are the header's bytes after magic and format.
   struct Header {
     std::uint64_t fingerprint = 0;
     std::uint64_t seed = 0;
@@ -104,19 +107,17 @@ class CampaignJournal {
 
  private:
   void load_existing();
-  void rewrite_locked(bool short_write);
-  void append_locked(const JournalRecord& record, bool short_write);
+  /// Slot `shard_index`'s bytes, or nullptr outside the mapped plan.
+  unsigned char* slot(std::uint64_t shard_index) const;
 
   std::string path_;
   Header header_;
-  bool plan_bound_ = false;
   std::size_t resumed_count_ = 0;
   std::size_t dropped_count_ = 0;
 
   mutable std::mutex mutex_;
-  int fd_ = -1;  ///< O_APPEND fd on `path`; -1 until the next rewrite
-  std::vector<JournalRecord> records_;
-  std::unordered_map<std::uint64_t, std::size_t> index_;
+  unsigned char* map_ = nullptr;  ///< the whole file; null until bound
+  std::size_t map_bytes_ = 0;
 };
 
 /// CRC32 (reflected 0xEDB88320, the zlib polynomial) over `size` bytes —

@@ -12,7 +12,9 @@
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <string>
+#include <vector>
 
 #include <sys/types.h>
 #include <sys/wait.h>
@@ -299,9 +301,8 @@ TEST(Journal, Crc32MatchesTheZlibCheckValue) {
 TEST(Journal, TornTailIsDroppedAndIntactPrefixKept) {
   ScopedJournalPath path("test_durability_torn.journal");
   {
-    // The first flush writes the header and record 0 whole; records 1 and 2
-    // are appended one write() each, and the third flush (record 2's) is cut
-    // short halfway: records 0 and 1 survive, record 2 is torn.
+    // The third append (record 2's) copies only half its slot: records 0
+    // and 1 survive, record 2 is torn, slot 3 was never written.
     FailpointGuard arm("journal.flush=shortwrite@3");
     CampaignJournal journal(path.str(), kFingerprint, 42,
                             CampaignJournal::Mode::Truncate);
@@ -321,11 +322,11 @@ TEST(Journal, TornTailIsDroppedAndIntactPrefixKept) {
   EXPECT_FALSE(resumed.find(2).has_value());
 }
 
-TEST(Journal, AppendAfterAShortWriteHealsTheTornTail) {
-  ScopedJournalPath path("test_durability_heal.journal");
+TEST(Journal, ATornSlotHidesNoOtherRecord) {
+  ScopedJournalPath path("test_durability_torn_slot.journal");
   {
-    // Record 1's append is torn; record 2's append rewrites the whole file,
-    // so the torn bytes are gone and every record is on disk.
+    // Record 1's copy is torn; records 2 and 3 land in their own slots
+    // after it, whole.
     FailpointGuard arm("journal.flush=shortwrite@2");
     CampaignJournal journal(path.str(), kFingerprint, 42,
                             CampaignJournal::Mode::Truncate);
@@ -336,16 +337,156 @@ TEST(Journal, AppendAfterAShortWriteHealsTheTornTail) {
     journal.append(make_record(3));
   }
   FailpointGuard off("");
+  {
+    CampaignJournal resumed(path.str(), kFingerprint, 42,
+                            CampaignJournal::Mode::Resume);
+    resumed.bind_plan(1000, 256, 4);
+    EXPECT_EQ(resumed.resumed_count(), 3u);
+    EXPECT_EQ(resumed.dropped_count(), 1u);
+    for (const std::uint64_t shard : {0ull, 2ull, 3ull}) {
+      const std::optional<JournalRecord> record = resumed.find(shard);
+      ASSERT_TRUE(record.has_value()) << "shard " << shard;
+      EXPECT_EQ(record->stats[0], make_record(shard).stats[0]);
+    }
+    // Shard 1 reruns and its fresh record replaces the torn bytes.
+    EXPECT_FALSE(resumed.find(1).has_value());
+    resumed.append(make_record(1));
+    EXPECT_EQ(resumed.find(1)->stats[0], make_record(1).stats[0]);
+  }
+  CampaignJournal rerun(path.str(), kFingerprint, 42,
+                        CampaignJournal::Mode::Resume);
+  EXPECT_EQ(rerun.resumed_count(), 4u);
+  EXPECT_EQ(rerun.dropped_count(), 0u);
+}
+
+TEST(Journal, OutOfOrderAppendsResumeExactlyThoseShards) {
+  FailpointGuard off("");
+  ScopedJournalPath path("test_durability_out_of_order.journal");
+  {
+    CampaignJournal journal(path.str(), kFingerprint, 42,
+                            CampaignJournal::Mode::Truncate);
+    journal.bind_plan(1000, 256, 4);
+    journal.append(make_record(3));
+    journal.append(make_record(0));
+  }
   CampaignJournal resumed(path.str(), kFingerprint, 42,
                           CampaignJournal::Mode::Resume);
   resumed.bind_plan(1000, 256, 4);
-  EXPECT_EQ(resumed.resumed_count(), 4u);
+  EXPECT_EQ(resumed.resumed_count(), 2u);
   EXPECT_EQ(resumed.dropped_count(), 0u);
-  for (std::uint64_t shard = 0; shard < 4; ++shard) {
-    const std::optional<JournalRecord> record = resumed.find(shard);
-    ASSERT_TRUE(record.has_value());
-    EXPECT_EQ(record->stats[0], make_record(shard).stats[0]);
+  EXPECT_EQ(resumed.find(0)->stats[0], make_record(0).stats[0]);
+  EXPECT_EQ(resumed.find(3)->stats[0], make_record(3).stats[0]);
+  EXPECT_FALSE(resumed.find(1).has_value());
+  EXPECT_FALSE(resumed.find(2).has_value());
+}
+
+TEST(Journal, ASlotHoldingAnotherShardsRecordDoesNotCount) {
+  FailpointGuard off("");
+  ScopedJournalPath path("test_durability_misplaced.journal");
+  {
+    CampaignJournal journal(path.str(), kFingerprint, 42,
+                            CampaignJournal::Mode::Truncate);
+    journal.bind_plan(1000, 256, 4);
+    journal.append(make_record(0));
   }
+  // Copy slot 0 (CRC intact, shard_index 0) over slot 2. The format puts
+  // the 52-byte header first, then one 124-byte slot per shard.
+  constexpr long kHeader = 52;
+  constexpr std::size_t kSlot = 124;
+  {
+    std::FILE* file = std::fopen(path.str().c_str(), "r+b");
+    ASSERT_NE(file, nullptr);
+    unsigned char slot[kSlot];
+    ASSERT_EQ(std::fseek(file, kHeader, SEEK_SET), 0);
+    ASSERT_EQ(std::fread(slot, 1, kSlot, file), kSlot);
+    ASSERT_EQ(std::fseek(file, kHeader + 2 * static_cast<long>(kSlot), SEEK_SET), 0);
+    ASSERT_EQ(std::fwrite(slot, 1, kSlot, file), kSlot);
+    std::fclose(file);
+  }
+  CampaignJournal resumed(path.str(), kFingerprint, 42,
+                          CampaignJournal::Mode::Resume);
+  EXPECT_EQ(resumed.resumed_count(), 1u);
+  EXPECT_EQ(resumed.dropped_count(), 1u);
+  EXPECT_TRUE(resumed.find(0).has_value());
+  EXPECT_FALSE(resumed.find(2).has_value());
+}
+
+TEST(Journal, AFileSizedForAnotherPlanIsNotMerged) {
+  FailpointGuard off("");
+  ScopedJournalPath path("test_durability_resized.journal");
+  for (const long delta : {-1L, 1L}) {
+    SCOPED_TRACE("size delta " + std::to_string(delta));
+    {
+      CampaignJournal journal(path.str(), kFingerprint, 42,
+                              CampaignJournal::Mode::Truncate);
+      journal.bind_plan(1000, 256, 4);
+      journal.append(make_record(0));
+    }
+    std::filesystem::resize_file(
+        path.str(), std::filesystem::file_size(path.str()) + delta);
+    // The header still names this campaign, so validate() lets it through;
+    // the journal itself refuses the slots and starts fresh.
+    ASSERT_TRUE(CampaignJournal::peek(path.str()).has_value());
+    CampaignJournal resumed(path.str(), kFingerprint, 42,
+                            CampaignJournal::Mode::Resume);
+    EXPECT_EQ(resumed.resumed_count(), 0u);
+    resumed.bind_plan(1000, 256, 4);
+    EXPECT_FALSE(resumed.find(0).has_value());
+  }
+}
+
+TEST(Journal, AFormatOneJournalIsNotResumed) {
+  FailpointGuard off("");
+  ScopedJournalPath path("test_durability_format1.journal");
+  // A format-1 file: the same header fields with format word 1, then one
+  // record appended straight after it.
+  std::vector<unsigned char> bytes;
+  const auto put = [&](auto word) {
+    const auto* raw = reinterpret_cast<const unsigned char*>(&word);
+    bytes.insert(bytes.end(), raw, raw + sizeof(word));
+  };
+  put(std::uint32_t{0x4A435352u});
+  put(std::uint32_t{1});
+  for (const std::uint64_t word : {kFingerprint, std::uint64_t{42},
+                                   std::uint64_t{1000}, std::uint64_t{256},
+                                   std::uint64_t{4}}) {
+    put(word);
+  }
+  put(crc32(bytes.data(), bytes.size()));
+  const std::size_t record_start = bytes.size();
+  const JournalRecord record = make_record(0);
+  put(record.shard_index);
+  for (const std::uint64_t word : record.stats) put(word);
+  for (const std::uint64_t word : record.telemetry) put(word);
+  put(crc32(bytes.data() + record_start, bytes.size() - record_start));
+  {
+    std::FILE* file = std::fopen(path.str().c_str(), "wb");
+    ASSERT_NE(file, nullptr);
+    ASSERT_EQ(std::fwrite(bytes.data(), 1, bytes.size(), file), bytes.size());
+    std::fclose(file);
+  }
+  EXPECT_FALSE(CampaignJournal::peek(path.str()).has_value());
+  CampaignJournal resumed(path.str(), kFingerprint, 42,
+                          CampaignJournal::Mode::Resume);
+  EXPECT_EQ(resumed.resumed_count(), 0u);
+  resumed.bind_plan(1000, 256, 4);
+  EXPECT_FALSE(resumed.find(0).has_value());
+}
+
+TEST(Journal, AppendOutsideTheBoundPlanThrows) {
+  FailpointGuard off("");
+  ScopedJournalPath path("test_durability_outside.journal");
+  CampaignJournal journal(path.str(), kFingerprint, 42,
+                          CampaignJournal::Mode::Truncate);
+  EXPECT_THROW(journal.append(make_record(0)), Error);  // no plan bound yet
+  // No file can hold a slot for every one of 2^64 - 1 shards.
+  EXPECT_THROW(journal.bind_plan(~0ull, 1, ~0ull), Error);
+  EXPECT_THROW(journal.append(make_record(0)), Error);
+  journal.bind_plan(1000, 256, 4);
+  EXPECT_THROW(journal.append(make_record(4)), Error);
+  EXPECT_FALSE(journal.find(4).has_value());
+  journal.append(make_record(3));
+  EXPECT_TRUE(journal.find(3).has_value());
 }
 
 TEST(Journal, ResumedJournalKeepsAppending) {

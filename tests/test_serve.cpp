@@ -603,6 +603,39 @@ TEST(ServeJobManager, OverridesShapeTheCampaign) {
   EXPECT_EQ(back.deadline_ms, overrides.deadline_ms);
 }
 
+TEST(ServeJobManager, ThreadsOtherThanThePoolFailTheJob) {
+  ServeOptions options;
+  options.threads = 2;
+  options.max_active = 1;
+  JobManager manager(options);
+  const std::string spec = validation_spec();
+
+  SubmitOverrides overrides;
+  overrides.threads = 3;
+  const JobRecord wider = run_one(manager, spec, overrides);
+  EXPECT_EQ(wider.state, JobState::Failed);
+  EXPECT_NE(wider.error.find("retscan serve --threads 3"), std::string::npos)
+      << wider.error;
+  EXPECT_FALSE(wider.summary.has_value());
+
+  // The spec key is checked the same way.
+  std::ostringstream body;
+  body << std::ifstream(spec).rdbuf() << "campaign.threads = 3\n";
+  const JobRecord from_spec =
+      run_one(manager, write_file("serve_threads.spec", body.str()));
+  EXPECT_EQ(from_spec.state, JobState::Failed);
+  EXPECT_NE(from_spec.error.find("retscan serve --threads"), std::string::npos);
+
+  // 0 and the pool's own size both run on the pool.
+  for (const std::uint64_t threads : {0u, 2u}) {
+    overrides.threads = threads;
+    const JobRecord ran = run_one(manager, spec, overrides);
+    EXPECT_EQ(ran.state, JobState::Done) << threads << ": " << ran.error;
+    ASSERT_TRUE(ran.summary.has_value());
+    EXPECT_EQ(ran.summary->threads, 2u);
+  }
+}
+
 TEST(ServeJobManager, BadSpecFailsTheJobNotTheDaemon) {
   ServeOptions options;
   options.max_active = 1;

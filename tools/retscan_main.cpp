@@ -232,6 +232,8 @@ int serve_command(int argc, char** argv) {
                                           : options.cache_dir)
             << ", " << options.session_capacity << " warm sessions, "
             << options.max_active << " active jobs\n"
+            << "pool:     " << server.jobs().threads()
+            << " threads, shared by every job\n"
             << "serving\n"
             << std::flush;
   std::signal(SIGINT, on_serve_signal);
